@@ -1,9 +1,8 @@
-// Ablation A1 (DESIGN.md): the section 4.5 indexing machinery.
-//   * clause access: no index vs first-argument hash vs first-string trie,
-//     on a relation keyed by compound terms (where the trie discriminates
-//     below the outer symbol and hashing cannot);
-//   * answer tables: hash dedup vs trie dedup (the "trie-based indexing ...
-//     being developed for answer clauses" of section 4.5).
+// Ablation A1 (DESIGN.md): the section 4.5 clause-indexing machinery. Clause
+// access with no index vs first-argument hash vs first-string trie, on a
+// relation keyed by compound terms (where the trie discriminates below the
+// outer symbol and hashing cannot). The answer-table half of the ablation,
+// hash set vs answer trie, is recorded in BENCH_interning.json.
 
 #include <string>
 
@@ -37,26 +36,6 @@ double TimeLookups(const std::string& index_directive, int n) {
   });
 }
 
-double TimeTabled(bool answer_trie, int n, size_t* table_bytes) {
-  xsb::Engine::Options options;
-  options.answer_trie = answer_trie;
-  xsb::Engine engine(options);
-  std::string program = ":- table path/2.\n"
-                        "path(X,Y) :- edge(X,Y).\n"
-                        "path(X,Y) :- path(X,Z), edge(Z,Y).\n" +
-                        xsb::bench::CycleEdges(n);
-  if (!engine.ConsultString(program).ok()) std::abort();
-  double ms = xsb::bench::TimeBest([&]() {
-    engine.AbolishAllTables();
-    auto r = engine.Count("path(X, Y)");  // all n^2 answers
-    if (!r.ok()) std::abort();
-  });
-  if (table_bytes != nullptr) {
-    *table_bytes = engine.evaluator().tables().table_bytes();
-  }
-  return ms;
-}
-
 }  // namespace
 
 int main() {
@@ -77,22 +56,5 @@ int main() {
   std::printf(
       "hash on arg 1 keys only the outer symbol g/1 here (all clauses in\n"
       "one bucket); the first-string trie discriminates inside the term.\n");
-
-  PrintHeader("answer-table index: hash set vs answer trie (all-pairs TC)");
-  PrintRow("cycle", {"hash ms", "trie ms", "hash KB", "trie KB"}, 14, 14);
-  for (int n : {64, 128, 256}) {
-    size_t hash_bytes = 0, trie_bytes = 0;
-    double hash = TimeTabled(false, n, &hash_bytes);
-    double trie = TimeTabled(true, n, &trie_bytes);
-    PrintRow(std::to_string(n),
-             {FmtMs(hash), FmtMs(trie), std::to_string(hash_bytes / 1024),
-              std::to_string(trie_bytes / 1024)},
-             14, 14);
-  }
-  std::printf(
-      "\nSection 4.5: answer tables need duplicate checks on every derived\n"
-      "answer. The trie integrates storage with indexing: the hash store\n"
-      "keeps every answer's cells twice (vector + set key), the trie keeps\n"
-      "shared prefixes and interned ground subterms once.\n");
   return 0;
 }

@@ -93,27 +93,10 @@ void BM_ClauseResolutionStep(benchmark::State& state) {
 }
 BENCHMARK(BM_ClauseResolutionStep);
 
-void BM_AnswerInsertHash(benchmark::State& state) {
-  Fixture f;
-  int64_t i = 0;
-  TableSpace tables(f.store.symbols(), /*answer_trie=*/false);
-  Word goal = f.Parse("p(X)");
-  FunctorId p1 = f.symbols.InternFunctor(f.symbols.InternAtom("p"), 1);
-  auto [id, created] = tables.LookupOrCreate(f.store, goal, p1, 0);
-  Word var = f.store.Deref(f.store.Arg(goal, 0));
-  for (auto _ : state) {
-    size_t trail = f.store.TrailMark();
-    f.store.Bind(var, IntCell(i++ % 4096));
-    benchmark::DoNotOptimize(tables.AddAnswer(id, f.store, goal));
-    f.store.UndoTrail(trail);
-  }
-}
-BENCHMARK(BM_AnswerInsertHash);
-
 void BM_AnswerInsertTrie(benchmark::State& state) {
   Fixture f;
   int64_t i = 0;
-  TableSpace tables(f.store.symbols(), /*answer_trie=*/true);
+  TableSpace tables(f.store.symbols());
   Word goal = f.Parse("p(X)");
   FunctorId p1 = f.symbols.InternFunctor(f.symbols.InternAtom("p"), 1);
   auto [id, created] = tables.LookupOrCreate(f.store, goal, p1, 0);
@@ -131,7 +114,7 @@ void BM_CallTrieVariantHit(benchmark::State& state) {
   // The tabling hot path: variant check of an already-tabled call, walked
   // straight off the live heap term (no FlatTerm materialization).
   Fixture f;
-  TableSpace tables(f.store.symbols(), /*answer_trie=*/true);
+  TableSpace tables(f.store.symbols());
   Word goal = f.Parse("path(f(a, g(1,2)), X, Y)");
   FunctorId path3 = f.symbols.InternFunctor(f.symbols.InternAtom("path"), 3);
   tables.LookupOrCreate(f.store, goal, path3, 0);

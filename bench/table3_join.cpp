@@ -23,6 +23,7 @@
 #include "bench/bench_util.h"
 #include "bottomup/magic.h"
 #include "bottomup/seminaive.h"
+#include "db/loader.h"
 #include "parser/reader.h"
 #include "wam/compile.h"
 #include "wam/emulator.h"

@@ -68,7 +68,7 @@ if [[ "$quick" == 0 ]]; then
   run table2_negation
   run fig2_win_calls
   run indexing_ablation
-  run micro_core --benchmark_filter='AnswerInsert|CallTrie|Intern|Encode'
+  run micro_core --benchmark_filter='AnswerInsertTrie|CallTrie|Intern|Encode'
 fi
 
 for f in bench-out/BENCH_*.json; do

@@ -206,12 +206,19 @@ class Machine {
   // Discards choice points above `depth` (the cut operation).
   void CutTo(size_t depth);
 
-  // Resets the goal arena; only call between top-level queries.
-  void ResetArena() { arena_.clear(); }
+  // Frees the goal arena and the adopted answer sources; only call between
+  // top-level queries.
+  void ResetArena() {
+    arena_.clear();
+    adopted_sources_.clear();
+  }
+  // Both are 0 between top-level queries of a Session.
+  size_t arena_size() const { return arena_.size(); }
+  size_t adopted_source_count() const { return adopted_sources_.size(); }
 
   // Takes ownership of a materialized answer source referenced by an
-  // answer choice point (clause/2); freed with the machine. Returns the
-  // adopted pointer for use in PushAnswerChoices.
+  // answer choice point (clause/2); freed by the next ResetArena. Returns
+  // the adopted pointer for use in PushAnswerChoices.
   const AnswerSource* AdoptAnswerSource(std::unique_ptr<AnswerSource> source) {
     adopted_sources_.push_back(std::move(source));
     return adopted_sources_.back().get();

@@ -3,26 +3,31 @@
 #include <utility>
 
 #include "db/loader.h"
-#include "parser/reader.h"
-#include "parser/writer.h"
 #include "tabling/epoch.h"
 
 namespace xsb {
+namespace {
+
+// The Program has one update-listener slot; the control session owns it.
+// All sessions share one table space, so invalidation raised there is
+// visible to every worker anyway.
+Evaluator::Options SessionOptions(const QueryService::Options& options,
+                                  bool control) {
+  return Evaluator::Options{.early_completion = options.early_completion,
+                            .incremental = options.incremental,
+                            .register_update_listener = control};
+}
+
+}  // namespace
 
 QueryService::QueryService(Options options)
-    : options_(options),
-      symbols_(std::make_unique<SymbolTable>()),
-      program_(std::make_unique<Program>(symbols_.get())),
-      tables_(std::make_unique<TableSpace>(symbols_.get(),
-                                           options.answer_trie,
-                                           /*shared=*/true)) {
-  control_ = MakeSession(/*control=*/true);
-  int n = options_.num_workers < 1 ? 1 : options_.num_workers;
+    : db_(/*shared_tables=*/true),
+      control_(&db_, SessionOptions(options, /*control=*/true)) {
+  int n = options.num_workers < 1 ? 1 : options.num_workers;
   workers_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    auto worker = std::make_unique<Worker>();
-    worker->session = MakeSession(/*control=*/false);
-    workers_.push_back(std::move(worker));
+    workers_.push_back(std::make_unique<Worker>(
+        &db_, SessionOptions(options, /*control=*/false)));
   }
   // Sessions first, then threads: a worker loop must never observe a
   // half-built pool.
@@ -47,37 +52,22 @@ QueryService::~QueryService() {
   }
 }
 
-QueryService::Session QueryService::MakeSession(bool control) {
-  Session session;
-  session.store = std::make_unique<TermStore>(symbols_.get());
-  session.machine =
-      std::make_unique<Machine>(session.store.get(), program_.get());
-  Evaluator::Options eval;
-  eval.answer_trie = options_.answer_trie;
-  eval.early_completion = options_.early_completion;
-  eval.incremental = options_.incremental;
-  // The Program has one update-listener slot; the control session owns it.
-  // All sessions share one table space, so invalidation raised there is
-  // visible to every worker anyway.
-  eval.register_update_listener = control;
-  session.evaluator = std::make_unique<Evaluator>(session.machine.get(),
-                                                  eval, tables_.get());
-  return session;
-}
-
 Status QueryService::Consult(std::string_view text) {
   return PausedMutation([&]() -> Status {
-    Loader loader(control_.store.get(), program_.get());
+    Loader loader(&control_.store(), &db_.program);
     return loader.ConsultString(text);
   });
 }
 
 Status QueryService::Update(std::string_view goal) {
   return PausedMutation([&]() -> Status {
-    Result<std::vector<Answer>> result =
-        RunGoal(control_, goal, /*max_answers=*/1);
-    if (!result.ok()) return result.status();
-    if (result.value().empty()) {
+    bool succeeded = false;
+    Status status = control_.Run(goal, [&succeeded](Answer&&) {
+      succeeded = true;
+      return false;
+    });
+    if (!status.ok()) return status;
+    if (!succeeded) {
       return Status(ErrorCode::kInvalid,
                     "update goal failed: " + std::string(goal));
     }
@@ -114,41 +104,10 @@ Result<size_t> QueryService::Count(std::string_view goal) {
   return answers.value().size();
 }
 
-Result<std::vector<Answer>> QueryService::RunGoal(Session& session,
-                                                  std::string_view goal,
-                                                  size_t max_answers) {
-  std::string buffer(goal);
-  buffer += " .";
-  Reader reader(session.store.get(), program_->ops(), buffer,
-                program_->hilog_atoms());
-  Result<Word> parsed = reader.ReadClause();
-  if (!parsed.ok()) return parsed.status();
-  std::vector<std::pair<std::string, Word>> names = reader.var_names();
-
-  std::vector<Answer> answers;
-  size_t trail = session.store->TrailMark();
-  size_t heap = session.store->HeapMark();
-  Status status = session.machine->Solve(parsed.value(), [&]() {
-    Answer answer;
-    answer.bindings.reserve(names.size());
-    for (const auto& [name, cell] : names) {
-      answer.bindings.emplace_back(
-          name, WriteTerm(*session.store, *program_->ops(), cell));
-    }
-    answers.push_back(std::move(answer));
-    return answers.size() < max_answers ? SolveAction::kContinue
-                                        : SolveAction::kStop;
-  });
-  session.store->UndoTrail(trail);
-  session.store->TruncateHeap(heap);
-  if (!status.ok()) return status;
-  return answers;
-}
-
 void QueryService::WorkerLoop(Worker* worker) {
   // Each serving thread owns an epoch slot for the lifetime of the pool;
   // individual queries are bracketed with EpochGuard below.
-  int slot = tables_->epochs().AcquireSlot();
+  int slot = db_.tables.epochs().AcquireSlot();
   for (;;) {
     Job job;
     {
@@ -164,24 +123,29 @@ void QueryService::WorkerLoop(Worker* worker) {
     {
       // The guard pins this thread's epoch for the whole query: any table
       // retired after this point stays allocated until we exit.
-      EpochGuard guard(&tables_->epochs(), slot);
-      Result<std::vector<Answer>> result =
-          RunGoal(worker->session, job.goal, /*max_answers=*/SIZE_MAX);
+      EpochGuard guard(&db_.tables.epochs(), slot);
+      std::vector<Answer> answers;
+      Status status = worker->session.Run(job.goal, [&answers](Answer&& a) {
+        answers.push_back(std::move(a));
+        return true;
+      });
       worker->queries_served.fetch_add(1, std::memory_order_relaxed);
-      if (!result.ok()) {
+      if (status.ok()) {
+        job.promise.set_value(std::move(answers));
+      } else {
         worker->errors.fetch_add(1, std::memory_order_relaxed);
+        job.promise.set_value(status);
       }
-      job.promise.set_value(std::move(result));
     }
     // Outside the guard: reclaim whatever every serving thread has passed.
-    tables_->ReleaseRetiredAnswers();
+    db_.tables.ReleaseRetiredAnswers();
     {
       std::lock_guard<std::mutex> lock(queue_mutex_);
       --busy_workers_;
     }
     idle_cv_.notify_all();
   }
-  tables_->epochs().ReleaseSlot(slot);
+  db_.tables.epochs().ReleaseSlot(slot);
 }
 
 Status QueryService::PausedMutation(const std::function<Status()>& fn) {
@@ -196,7 +160,7 @@ Status QueryService::PausedMutation(const std::function<Status()>& fn) {
   }
   Status status = fn();
   // All workers idle, all epoch slots idle: every retired table frees now.
-  tables_->ReleaseRetiredAnswers();
+  db_.tables.ReleaseRetiredAnswers();
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     paused_ = false;
@@ -216,7 +180,7 @@ QueryService::ServiceStats QueryService::Stats() const {
     stats.queries_served += ws.queries_served;
     stats.per_worker.push_back(ws);
   }
-  const TableStats& ts = tables_->stats();
+  const TableStats& ts = db_.tables.stats();
   stats.shared_table_hits =
       ts.shared_table_hits.load(std::memory_order_relaxed);
   stats.waits_on_inprogress =

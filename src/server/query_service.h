@@ -15,21 +15,17 @@
 #include <vector>
 
 #include "base/status.h"
-#include "db/program.h"
-#include "engine/machine.h"
-#include "tabling/evaluator.h"
-#include "term/store.h"
-#include "xsb/engine.h"
+#include "xsb/session.h"
 
 namespace xsb {
 
 // Concurrent query serving over one shared table space.
 //
-// A QueryService owns a single Program + TableSpace + InternTable and a pool
-// of worker threads. Each worker is a full private session — its own
-// TermStore heap, Machine and Evaluator — but all sessions evaluate against
-// the one shared TableSpace, so a table computed by any worker serves every
-// later query from every worker:
+// A QueryService owns one Database (program + shared table space) and a pool
+// of worker threads. Each worker runs its own Session — private heap,
+// Machine and Evaluator — but all sessions evaluate against the one shared
+// TableSpace, so a table computed by any worker serves every later query
+// from every worker:
 //
 //   xsb::QueryService service({.num_workers = 4});
 //   service.Consult(":- table path/2."
@@ -63,7 +59,6 @@ class QueryService {
  public:
   struct Options {
     int num_workers = 2;           // worker threads (>= 1)
-    bool answer_trie = true;       // see Engine::Options
     bool early_completion = false;
     bool incremental = true;
   };
@@ -118,18 +113,17 @@ class QueryService {
   int num_workers() const { return static_cast<int>(workers_.size()); }
 
   // Escape hatches for tests and benches.
-  TableSpace& tables() { return *tables_; }
-  Program& program() { return *program_; }
+  TableSpace& tables() { return db_.tables; }
+  Program& program() { return db_.program; }
+  // Inspect sessions only while no query is in flight, e.g. right after
+  // Update returns with no other client submitting.
+  Session& control_session() { return control_; }
+  Session& worker_session(int i) { return workers_[i]->session; }
 
  private:
-  // One full evaluation session: private heap + machine, shared tables.
-  struct Session {
-    std::unique_ptr<TermStore> store;
-    std::unique_ptr<Machine> machine;
-    std::unique_ptr<Evaluator> evaluator;
-  };
-
   struct Worker {
+    Worker(Database* db, const Evaluator::Options& options)
+        : session(db, options) {}
     Session session;
     std::thread thread;
     std::atomic<uint64_t> queries_served{0};
@@ -141,24 +135,13 @@ class QueryService {
     std::promise<Result<std::vector<Answer>>> promise;
   };
 
-  Session MakeSession(bool control);
-
-  // Parses and runs `goal` on `session`, collecting up to `max_answers`
-  // answers. The caller brackets with an epoch guard (workers) or the
-  // paused world (control).
-  Result<std::vector<Answer>> RunGoal(Session& session, std::string_view goal,
-                                      size_t max_answers);
-
   void WorkerLoop(Worker* worker);
 
   // Pause-the-world bracket for program mutation: blocks new job pickup,
   // drains in-flight queries, runs `fn`, resumes the pool.
   Status PausedMutation(const std::function<Status()>& fn);
 
-  Options options_;
-  std::unique_ptr<SymbolTable> symbols_;
-  std::unique_ptr<Program> program_;
-  std::unique_ptr<TableSpace> tables_;
+  Database db_;
   Session control_;                  // owns the update-listener slot
   std::mutex control_mutex_;         // serializes Consult/Update
 

@@ -33,19 +33,12 @@ Status RetryEvaluation() {
 
 }  // namespace
 
-Evaluator::Evaluator(Machine* machine, Options options,
-                     TableSpace* shared_tables)
+Evaluator::Evaluator(Machine* machine, TableSpace* tables, Options options)
     : machine_(machine),
+      tables_(tables),
       early_completion_(options.early_completion),
       incremental_(options.incremental),
       listener_registered_(options.register_update_listener) {
-  if (shared_tables != nullptr) {
-    tables_ = shared_tables;
-  } else {
-    owned_tables_ = std::make_unique<TableSpace>(
-        machine->store()->symbols(), options.answer_trie, /*shared=*/false);
-    tables_ = owned_tables_.get();
-  }
   SymbolTable* symbols = machine->store()->symbols();
   f_resolve_clauses_ = symbols->InternFunctor(
       symbols->InternAtom("$resolve_clauses"), 1);

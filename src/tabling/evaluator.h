@@ -1,7 +1,6 @@
 #ifndef XSB_TABLING_EVALUATOR_H_
 #define XSB_TABLING_EVALUATOR_H_
 
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -42,8 +41,8 @@ namespace xsb {
 // transitively depend on it invalid; an invalid table is re-evaluated
 // lazily on its next call, reusing every still-valid subsidiary table.
 //
-// Shared-table mode: an Evaluator may be constructed over an external
-// TableSpace shared with other sessions (QueryService workers). The *warm
+// The TableSpace belongs to the caller (a Database, or a test fixture) and
+// may be shared with other sessions (QueryService workers). The *warm
 // path* — a top-level call whose table is already complete and valid —
 // serves answers entirely lock-free via the publication/revalidation
 // protocol (see Subgoal). A top-level caller that finds another session's
@@ -67,10 +66,6 @@ namespace xsb {
 class Evaluator : public TabledCallHandler, public TableUpdateListener {
  public:
   struct Options {
-    // Store answers as interned token paths in a trie (the default). When
-    // false, falls back to the materialized vector + hash-set store, kept
-    // for the indexing-ablation bench.
-    bool answer_trie = true;
     // Complete ground subgoals as soon as their answer arrives, cutting off
     // the rest of their generator. This post-1994 XSB optimization makes
     // default tnot behave like e_tnot on Table 2's trees, so it is OFF by
@@ -86,12 +81,10 @@ class Evaluator : public TabledCallHandler, public TableUpdateListener {
     bool register_update_listener = true;
   };
 
-  explicit Evaluator(Machine* machine) : Evaluator(machine, Options()) {}
-  Evaluator(Machine* machine, Options options)
-      : Evaluator(machine, options, nullptr) {}
-  // Shared-table construction: evaluate against `shared_tables` (owned by
-  // the caller, typically a QueryService) instead of a private space.
-  Evaluator(Machine* machine, Options options, TableSpace* shared_tables);
+  // Evaluates against `tables`, which must outlive the evaluator.
+  Evaluator(Machine* machine, TableSpace* tables)
+      : Evaluator(machine, tables, Options()) {}
+  Evaluator(Machine* machine, TableSpace* tables, Options options);
   ~Evaluator() override;
 
   TableSpace& tables() { return *tables_; }
@@ -218,7 +211,6 @@ class Evaluator : public TabledCallHandler, public TableUpdateListener {
   const TableSpec* SpecFor(FunctorId functor) const;
 
   Machine* machine_;
-  std::unique_ptr<TableSpace> owned_tables_;  // null in shared mode
   TableSpace* tables_;
   bool early_completion_;
   bool incremental_;

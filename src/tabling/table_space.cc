@@ -131,37 +131,8 @@ size_t AnswerTrie::bytes() const {
          template_.cells.capacity() * sizeof(Word);
 }
 
-bool AnswerTable::StoreAnswer(const TermStore& store, Word instance,
-                              size_t* saved_cells, size_t* index) {
-  if (use_trie_) return trie_.Insert(store, instance, saved_cells, index);
-  if (saved_cells != nullptr) *saved_cells = 0;
-  FlatTerm answer = Flatten(store, instance);
-  auto it = hash_index_.insert(answer);
-  if (!it.second) {
-    if (index != nullptr) {
-      // Hash mode has no payload back-pointer; recover the index by scan.
-      // Single-threaded ablation store only — not a hot path.
-      for (size_t i = 0; i < answers_.size(); ++i) {
-        if (answers_[i] == answer) {
-          *index = i;
-          break;
-        }
-      }
-    }
-    return false;
-  }
-  if (index != nullptr) *index = answers_.size();
-  answers_.push_back(std::move(answer));
-  if (spec_.subsumptive()) dead_.push_back(0);
-  return true;
-}
-
 void AnswerTable::RetireAnswerAt(size_t i) {
-  if (use_trie_) {
-    trie_.RetireLeaf(i);
-  } else {
-    dead_[i] = 1;
-  }
+  trie_.RetireLeaf(i);
   num_retired_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -170,9 +141,8 @@ AnswerInsert AnswerTable::Insert(const TermStore& store, Word instance,
   if (spec_.subsumptive()) {
     return InsertSubsumptive(store, instance, saved_cells);
   }
-  return StoreAnswer(store, instance, saved_cells, nullptr)
-             ? AnswerInsert::kNew
-             : AnswerInsert::kDuplicate;
+  return trie_.Insert(store, instance, saved_cells) ? AnswerInsert::kNew
+                                                    : AnswerInsert::kDuplicate;
 }
 
 AnswerInsert AnswerTable::InsertSubsumptive(const TermStore& store,
@@ -209,7 +179,7 @@ AnswerInsert AnswerTable::InsertSubsumptive(const TermStore& store,
       return AnswerInsert::kSubsumedDropped;
     }
     size_t index = 0;
-    if (!StoreAnswer(store, instance, saved_cells, &index)) {
+    if (!trie_.Insert(store, instance, saved_cells, &index)) {
       return AnswerInsert::kDuplicate;
     }
     ++entry.count;
@@ -232,7 +202,7 @@ AnswerInsert AnswerTable::InsertSubsumptive(const TermStore& store,
   // provably trie-fresh — per-key values move strictly through the lattice,
   // so this (key, value) pair has never been stored.
   size_t index = 0;
-  if (!StoreAnswer(store, instance, saved_cells, &index)) {
+  if (!trie_.Insert(store, instance, saved_cells, &index)) {
     return AnswerInsert::kDuplicate;  // defensive; see invariant above
   }
   if (!created) RetireAnswerAt(entry.live_index);
@@ -242,20 +212,11 @@ AnswerInsert AnswerTable::InsertSubsumptive(const TermStore& store,
 }
 
 void AnswerTable::ReadAnswer(size_t i, FlatTerm* out) const {
-  if (use_trie_) {
-    trie_.ReadAnswer(i, out);
-    return;
-  }
-  out->cells = answers_[i].cells;
-  out->num_vars = answers_[i].num_vars;
+  trie_.ReadAnswer(i, out);
 }
 
 void AnswerTable::ReadBindings(size_t i, FlatTerm* out) const {
-  if (use_trie_) {
-    trie_.ReadBindings(i, out);
-    return;
-  }
-  ReadAnswer(i, out);
+  trie_.ReadBindings(i, out);
 }
 
 size_t AnswerTable::bytes() const {
@@ -264,15 +225,7 @@ size_t AnswerTable::bytes() const {
     agg_bytes += key.cells.capacity() * sizeof(Word) + sizeof(AggEntry) +
                  2 * sizeof(void*);
   }
-  if (use_trie_) return trie_.bytes() + agg_bytes;
-  size_t total = agg_bytes + dead_.capacity() +
-                 answers_.capacity() * sizeof(FlatTerm);
-  for (const FlatTerm& t : answers_) {
-    // Stored twice: once in the vector, once as the hash-set key.
-    total += 2 * t.cells.capacity() * sizeof(Word);
-  }
-  total += hash_index_.size() * (sizeof(FlatTerm) + 2 * sizeof(void*));
-  return total;
+  return trie_.bytes() + agg_bytes;
 }
 
 std::atomic<TableSpace::SchedulePerturbFn> TableSpace::perturb_hook_{nullptr};
@@ -296,7 +249,7 @@ std::pair<SubgoalId, bool> TableSpace::LookupOrCreate(const TermStore& store,
   sg.functor = functor;
   sg.batch_id = batch_id;
   if (spec != nullptr) sg.spec = *spec;
-  sg.answers.store(new AnswerTable(answer_trie_, &interns_, sg.call, sg.spec),
+  sg.answers.store(new AnswerTable(&interns_, sg.call, sg.spec),
                    std::memory_order_release);
   // Publish last: a lock-free prober that reads this payload finds the
   // subgoal fully initialized.
@@ -342,8 +295,7 @@ AnswerInsert TableSpace::AddAnswer(SubgoalId id, const TermStore& store,
 }
 
 void TableSpace::RetireAnswers(Subgoal& sg) {
-  AnswerTable* fresh =
-      new AnswerTable(answer_trie_, &interns_, sg.call, sg.spec);
+  AnswerTable* fresh = new AnswerTable(&interns_, sg.call, sg.spec);
   AnswerTable* old = sg.answers.exchange(fresh, std::memory_order_acq_rel);
   uint64_t stamp = epochs_.Retire();
   std::lock_guard<std::mutex> lock(retired_mutex_);

@@ -142,24 +142,21 @@ class AnswerTrie {
   std::vector<size_t> seg_scratch_;
 };
 
-// The answers of one tabled subgoal. The trie store (default) keeps answers
-// only as factored binding paths; the hash store (kept for the ablation
-// bench) keeps a materialized vector plus a hash set of full instances,
-// which stores every answer's cells twice.
+// The answers of one tabled subgoal, kept only as factored binding paths in
+// an AnswerTrie, plus the lattice bookkeeping of answer subsumption.
 class AnswerTable : public AnswerSource {
  public:
   // `spec` (copied) enables answer subsumption when it has an aggregated
   // argument; the default spec is plain tabling.
-  AnswerTable(bool use_trie, InternTable* interns, FlatTerm call_template,
+  AnswerTable(InternTable* interns, FlatTerm call_template,
               TableSpec spec = TableSpec())
-      : use_trie_(use_trie),
-        spec_(std::move(spec)),
+      : spec_(std::move(spec)),
         trie_(interns, std::move(call_template)) {}
 
   // Inserts the answer instance; see AnswerInsert for the outcomes.
-  // *saved_cells as in AnswerTrie::Insert (0 in hash mode). For subsumptive
-  // tables the lattice decision happens here, on the insert hot path: the
-  // per-key aggregate index is consulted before any trie walk, so subsumed
+  // *saved_cells as in AnswerTrie::Insert. For subsumptive tables the
+  // lattice decision happens here, on the insert hot path: the per-key
+  // aggregate index is consulted before any trie walk, so subsumed
   // answers are dropped without touching the trie, and a replacement
   // appends its leaf first and only then retires the beaten one (cursors at
   // the old answer stay sound; the count grows so suspended consumers wake).
@@ -167,16 +164,13 @@ class AnswerTable : public AnswerSource {
                       size_t* saved_cells);
 
   // AnswerSource: enumeration in insertion order, stable under growth.
-  size_t size() const override {
-    return use_trie_ ? trie_.size() : answers_.size();
-  }
+  size_t size() const override { return trie_.size(); }
   void ReadAnswer(size_t i, FlatTerm* out) const override;
 
   // AnswerSource: false for answers retired by a subsuming replacement.
   // Indices stay readable either way; enumerators skip dead ones.
   bool live(size_t i) const override {
-    if (!spec_.subsumptive()) return true;
-    return use_trie_ ? trie_.leaf_live(i) : dead_[i] == 0;
+    return !spec_.subsumptive() || trie_.leaf_live(i);
   }
   // Answers not beaten by a replacement. Relaxed: the count is a statistic
   // (table_stats/2), not a synchronization point.
@@ -184,10 +178,9 @@ class AnswerTable : public AnswerSource {
     return size() - num_retired_.load(std::memory_order_relaxed);
   }
 
-  // Factored enumeration (trie mode only; null template in hash mode makes
-  // callers fall back to ReadAnswer).
+  // AnswerSource: factored enumeration.
   const FlatTerm* answer_template() const override {
-    return use_trie_ ? &trie_.call_template() : nullptr;
+    return &trie_.call_template();
   }
   void ReadBindings(size_t i, FlatTerm* out) const override;
 
@@ -195,7 +188,7 @@ class AnswerTable : public AnswerSource {
 
   const TableSpec& spec() const { return spec_; }
 
-  size_t trie_nodes() const { return use_trie_ ? trie_.node_count() : 0; }
+  size_t trie_nodes() const { return trie_.node_count(); }
   size_t bytes() const;
 
  private:
@@ -210,17 +203,10 @@ class AnswerTable : public AnswerSource {
 
   AnswerInsert InsertSubsumptive(const TermStore& store, Word instance,
                                  size_t* saved_cells);
-  // Plain store shared by both paths: trie or hash-mode vector.
-  bool StoreAnswer(const TermStore& store, Word instance, size_t* saved_cells,
-                   size_t* index);
   void RetireAnswerAt(size_t i);
 
-  bool use_trie_;
   TableSpec spec_;
   AnswerTrie trie_;
-  std::vector<FlatTerm> answers_;  // hash mode only
-  std::unordered_set<FlatTerm, FlatTermHash> hash_index_;
-  std::vector<uint8_t> dead_;  // hash mode: parallels answers_
   std::atomic<size_t> num_retired_{0};
   std::unordered_map<FlatTerm, AggEntry, FlatTermHash> agg_index_;
   // Key-building scratch (single mutator, like the trie's insert scratch).
@@ -363,10 +349,8 @@ struct TableStats {
 //     behavior.
 class TableSpace {
  public:
-  explicit TableSpace(const SymbolTable* symbols, bool answer_trie = true,
-                      bool shared = false)
-      : answer_trie_(answer_trie),
-        shared_(shared),
+  explicit TableSpace(const SymbolTable* symbols, bool shared = false)
+      : shared_(shared),
         interns_(symbols),
         call_trie_(&interns_) {}
 
@@ -524,7 +508,6 @@ class TableSpace {
   // a fresh empty one. Caller has already moved `state` out of kComplete.
   void RetireAnswers(Subgoal& sg);
 
-  bool answer_trie_;
   bool shared_;
   InternTable interns_;
   CallTrie call_trie_;

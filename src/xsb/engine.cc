@@ -1,54 +1,30 @@
 #include "xsb/engine.h"
 
+#include "db/loader.h"
 #include "db/objfile.h"
 #include "hilog/hilog.h"
-#include "parser/reader.h"
-#include "parser/writer.h"
 
 namespace xsb {
-
-std::string Answer::operator[](std::string_view variable) const {
-  for (const auto& [name, value] : bindings) {
-    if (name == variable) return value;
-  }
-  return std::string();
-}
-
-std::string Answer::ToString() const {
-  if (bindings.empty()) return "true";
-  std::string out;
-  for (size_t i = 0; i < bindings.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += bindings[i].first + " = " + bindings[i].second;
-  }
-  return out;
-}
 
 Engine::Engine() : Engine(Options()) {}
 
 Engine::Engine(Options options)
     : strict_analysis_(options.strict_analysis),
-      symbols_(std::make_unique<SymbolTable>()),
-      store_(std::make_unique<TermStore>(symbols_.get())),
-      program_(std::make_unique<Program>(symbols_.get())),
-      machine_(std::make_unique<Machine>(store_.get(), program_.get())) {
-  Evaluator::Options eval_options;
-  eval_options.answer_trie = options.answer_trie;
-  eval_options.early_completion = options.early_completion;
-  eval_options.incremental = options.incremental;
-  evaluator_ = std::make_unique<Evaluator>(machine_.get(), eval_options);
-}
+      db_(/*shared_tables=*/false),
+      session_(&db_, Evaluator::Options{
+                         .early_completion = options.early_completion,
+                         .incremental = options.incremental}) {}
 
 Engine::~Engine() = default;
 
 Status Engine::ConsultString(std::string_view text) {
-  Loader loader(store_.get(), program_.get());
+  Loader loader(&store(), &db_.program);
   loader.set_strict(strict_analysis_);
   return loader.ConsultString(text);
 }
 
 Status Engine::ConsultFile(const std::string& path) {
-  Loader loader(store_.get(), program_.get());
+  Loader loader(&store(), &db_.program);
   loader.set_strict(strict_analysis_);
   return loader.ConsultFile(path);
 }
@@ -56,54 +32,31 @@ Status Engine::ConsultFile(const std::string& path) {
 Result<size_t> Engine::LoadFactsFormattedFile(const std::string& path,
                                               const std::string& name,
                                               int arity) {
-  Loader loader(store_.get(), program_.get());
+  Loader loader(&store(), &db_.program);
   return loader.LoadFactsFormattedFile(path, name, arity);
 }
 
 Status Engine::SaveObjectFile(const std::string& path) {
-  return xsb::SaveObjectFile(*program_, {}, path);
+  return xsb::SaveObjectFile(db_.program, {}, path);
 }
 
 Result<size_t> Engine::LoadObjectFile(const std::string& path) {
-  return xsb::LoadObjectFile(program_.get(), path);
+  return xsb::LoadObjectFile(&db_.program, path);
 }
 
 Status Engine::SpecializeHiLog() {
   Result<hilog::SpecializeStats> stats =
-      hilog::Specialize(store_.get(), program_.get());
+      hilog::Specialize(&store(), &db_.program);
   if (!stats.ok()) return stats.status();
   return Status::Ok();
 }
 
 Status Engine::ForEach(std::string_view goal,
                        const std::function<bool(const Answer&)>& on_answer) {
-  std::string buffer(goal);
-  buffer += " .";
-  Reader reader(store_.get(), program_->ops(), buffer,
-                program_->hilog_atoms());
-  Result<Word> parsed = reader.ReadClause();
-  if (!parsed.ok()) return parsed.status();
-  std::vector<std::pair<std::string, Word>> names = reader.var_names();
-
-  size_t trail = store_->TrailMark();
-  size_t heap = store_->HeapMark();
-  ++query_depth_;
-  Status status = machine_->Solve(parsed.value(), [&]() {
-    Answer answer;
-    answer.bindings.reserve(names.size());
-    for (const auto& [name, cell] : names) {
-      answer.bindings.emplace_back(
-          name, WriteTerm(*store_, *program_->ops(), cell));
-    }
-    return on_answer(answer) ? SolveAction::kContinue : SolveAction::kStop;
-  });
-  --query_depth_;
-  store_->UndoTrail(trail);
-  store_->TruncateHeap(heap);
-  // Frozen answer snapshots (tables retired by updates or abolishes while a
-  // cursor was open) can only be referenced by choice points of some live
-  // query; once the outermost query unwinds they are garbage.
-  if (query_depth_ == 0) evaluator_->tables().ReleaseRetiredAnswers();
+  Status status = session_.Run(goal, on_answer);
+  // Retired answer tables (frozen snapshots kept alive for open cursors) can
+  // only be referenced by choice points of a live query.
+  if (session_.idle()) db_.tables.ReleaseRetiredAnswers();
   return status;
 }
 
@@ -138,19 +91,19 @@ Result<std::vector<Answer>> Engine::FindAll(std::string_view goal) {
 }
 
 void Engine::AbolishAllTables() {
-  evaluator_->AbolishAllTables();
-  if (query_depth_ == 0) evaluator_->tables().ReleaseRetiredAnswers();
+  evaluator().AbolishAllTables();
+  if (session_.idle()) db_.tables.ReleaseRetiredAnswers();
 }
 
 analysis::AnalysisResult Engine::Analyze(
     const analysis::AnalyzeOptions& options) {
-  analysis::AnalysisResult result = analysis::Analyze(*program_, options);
-  analysis::PublishVerdict(program_.get(), result);
-  analysis::PublishIncrementalDeps(program_.get(), result);
-  analysis::PublishEvalShards(program_.get(), result);
+  analysis::AnalysisResult result = analysis::Analyze(db_.program, options);
+  analysis::PublishVerdict(&db_.program, result);
+  analysis::PublishIncrementalDeps(&db_.program, result);
+  analysis::PublishEvalShards(&db_.program, result);
   // Publishing an empty mode set would clear previously published modes,
   // so skip it when the caller disabled the pass.
-  if (options.mode_pass) analysis::PublishModes(program_.get(), result);
+  if (options.mode_pass) analysis::PublishModes(&db_.program, result);
   return result;
 }
 

@@ -2,30 +2,15 @@
 #define XSB_XSB_ENGINE_H_
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "analysis/analyzer.h"
 #include "base/status.h"
-#include "db/loader.h"
-#include "db/program.h"
-#include "engine/machine.h"
-#include "tabling/evaluator.h"
-#include "term/store.h"
+#include "xsb/session.h"
 
 namespace xsb {
-
-// One answer to a query: the query's named variables with their bindings
-// rendered as readable terms.
-struct Answer {
-  std::vector<std::pair<std::string, std::string>> bindings;
-
-  // The binding of `variable`, or "" if absent.
-  std::string operator[](std::string_view variable) const;
-  std::string ToString() const;  // "X = 1, Y = f(a)"
-};
 
 // The in-memory deductive database engine: the public face of this library.
 //
@@ -42,12 +27,11 @@ struct Answer {
 //
 // The engine evaluates tabled predicates with SLG resolution (finite and
 // non-redundant on datalog) and everything else with Prolog's SLDNF, exactly
-// as the paper describes. HiLog syntax is accepted throughout.
+// as the paper describes. HiLog syntax is accepted throughout. An Engine is a
+// Database with one Session (xsb/session.h); it is not thread-safe.
 class Engine {
  public:
   struct Options {
-    bool answer_trie = true;        // trie-based answer tables (default);
-                                    // false = hash-set store (ablation)
     bool early_completion = false;  // complete ground calls at first answer
     bool strict_analysis = false;   // consults fail on error-severity
                                     // analysis diagnostics (non-stratified
@@ -109,22 +93,16 @@ class Engine {
 
   // --- Escape hatches for benchmarks and tests --------------------------------
 
-  TermStore& store() { return *store_; }
-  Program& program() { return *program_; }
-  Machine& machine() { return *machine_; }
-  Evaluator& evaluator() { return *evaluator_; }
-  SymbolTable& symbols() { return *symbols_; }
+  TermStore& store() { return session_.store(); }
+  Program& program() { return db_.program; }
+  Machine& machine() { return session_.machine(); }
+  Evaluator& evaluator() { return session_.evaluator(); }
+  SymbolTable& symbols() { return db_.symbols; }
 
  private:
   bool strict_analysis_ = false;
-  // Depth of nested ForEach calls: retired answer tables (frozen snapshots
-  // kept alive for open cursors) are released when the outermost query ends.
-  int query_depth_ = 0;
-  std::unique_ptr<SymbolTable> symbols_;
-  std::unique_ptr<TermStore> store_;
-  std::unique_ptr<Program> program_;
-  std::unique_ptr<Machine> machine_;
-  std::unique_ptr<Evaluator> evaluator_;
+  Database db_;
+  Session session_;
 };
 
 }  // namespace xsb

@@ -18,7 +18,8 @@ class HilogTest : public ::testing::Test {
         program_(&symbols_),
         loader_(&store_, &program_),
         machine_(&store_, &program_),
-        evaluator_(&machine_) {}
+        tables_(&symbols_),
+        evaluator_(&machine_, &tables_) {}
 
   void Load(const std::string& text) {
     Status s = loader_.ConsultString(text);
@@ -52,6 +53,7 @@ class HilogTest : public ::testing::Test {
   Program program_;
   Loader loader_;
   Machine machine_;
+  TableSpace tables_;
   Evaluator evaluator_;
 };
 

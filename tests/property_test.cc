@@ -16,6 +16,7 @@
 
 #include "bottomup/magic.h"
 #include "bottomup/seminaive.h"
+#include "db/loader.h"
 #include "parser/reader.h"
 #include "tabling/table_space.h"
 #include "term/intern.h"
@@ -457,7 +458,7 @@ class CallTrieProperty : public ::testing::TestWithParam<uint32_t> {};
 TEST_P(CallTrieProperty, VariantLookupMatchesHashMapOracle) {
   SymbolTable symbols;
   TermStore store(&symbols);
-  TableSpace tables(&symbols, /*answer_trie=*/true);
+  TableSpace tables(&symbols);
 
   // The old implementation: canonical FlatTerm -> subgoal id, ids handed out
   // by a counter that never reuses (mirrors subgoals_.size()).

@@ -21,7 +21,8 @@ class TablingTest : public ::testing::Test {
         program_(&symbols_),
         loader_(&store_, &program_),
         machine_(&store_, &program_),
-        evaluator_(&machine_) {}
+        tables_(&symbols_),
+        evaluator_(&machine_, &tables_) {}
 
   void Load(const std::string& text) {
     Status s = loader_.ConsultString(text);
@@ -90,6 +91,7 @@ class TablingTest : public ::testing::Test {
   Program program_;
   Loader loader_;
   Machine machine_;
+  TableSpace tables_;
   Evaluator evaluator_;
 };
 
@@ -288,9 +290,10 @@ TEST_F(TablingTest, TFindallCollectsCompletedAnswers) {
 
 TEST_F(TablingTest, EarlyCompletionOnGroundCalls) {
   Machine machine2(&store_, &program_);
+  TableSpace tables2(&symbols_);
   Evaluator::Options options;
   options.early_completion = true;
-  Evaluator evaluator2(&machine2, options);
+  Evaluator evaluator2(&machine2, &tables2, options);
   Load(":- table t/1.\n"
        "t(X) :- member_(X, [1,2,3]).\n"
        "member_(X, [X|_]). member_(X, [_|T]) :- member_(X, T).\n");
@@ -403,25 +406,6 @@ TEST_F(TablingTest, PropertyTabledMatchesSldnfOnAcyclicGraphs) {
 }
 
 class TablingTrieTest : public TablingTest {};
-
-TEST_F(TablingTrieTest, HashAblationModeGivesSameResults) {
-  // The default store is the answer trie; build a second evaluator in the
-  // legacy hash-set mode on a fresh machine and check agreement.
-  Machine machine2(&store_, &program_);
-  Evaluator::Options options;
-  options.answer_trie = false;
-  Evaluator evaluator2(&machine2, options);
-  Load(":- table path/2.\n"
-       "edge(1,2). edge(2,3). edge(3,1). edge(1,3).\n"
-       "path(X,Y) :- edge(X,Y).\n"
-       "path(X,Y) :- path(X,Z), edge(Z,Y).\n");
-  Result<size_t> trie_count = machine_.CountSolutions(Parse("path(1,X)"));
-  Result<size_t> hash_count = machine2.CountSolutions(Parse("path(1,X)"));
-  ASSERT_TRUE(trie_count.ok());
-  ASSERT_TRUE(hash_count.ok());
-  EXPECT_EQ(trie_count.value(), hash_count.value());
-  EXPECT_EQ(trie_count.value(), 3u);
-}
 
 TEST_F(TablingTrieTest, TrieStoreReportsNodesAndInterns) {
   Load(":- table path/2.\n"
