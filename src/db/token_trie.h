@@ -107,7 +107,10 @@ class TokenTrie {
   void Reset();
   void FreeChildMaps();
 
-  ConcurrentArena<Node, 7> nodes_;  // arena; ids stable, nodes never move
+  // Arena; ids stable, nodes never move. The first block holds 16 nodes
+  // (512 bytes): a table space holds one trie per answer table, and most
+  // of them stay that small.
+  ConcurrentArena<Node, 4> nodes_;
   ConcurrentArena<AtomicKeyMap*, 4> child_maps_;  // escalated child indexes
 };
 

@@ -144,52 +144,9 @@ bool Machine::Backtrack(size_t base_cp, const GoalNode** goals) {
         return true;
       }
       case ChoiceKind::kAnswers: {
-        if (cp.factored) {
-          // Factored return: per answer, rebuild only the binding segments
-          // and unify each against its (goal-aliased) template variable.
-          while (cp.next_answer < cp.answers->size()) {
-            // Answer subsumption: an answer retired by a better one is
-            // skipped, not returned. The cursor itself stays valid.
-            if (!cp.answers->live(cp.next_answer)) {
-              ++cp.next_answer;
-              continue;
-            }
-            cp.answers->ReadBindings(cp.next_answer++, &answer_scratch_);
-            answer_vars_scratch_.assign(answer_scratch_.num_vars, 0);
-            size_t pos = 0;
-            bool ok = true;
-            for (Word tv : cp.template_vars) {
-              Word b = UnflattenNext(store_, answer_scratch_, &pos,
-                                     &answer_vars_scratch_);
-              if (!store_->Unify(tv, b)) {
-                ok = false;
-                break;
-              }
-            }
-            if (ok) {
-              ++stats_.factored_answer_returns;
-              *goals = cp.cont;
-              return true;
-            }
-            store_->UndoTrail(cp.trail_mark);
-            store_->TruncateHeap(cp.heap_mark);
-          }
-          cps_.pop_back();
-          continue;
-        }
-        while (cp.next_answer < cp.answers->size()) {
-          if (!cp.answers->live(cp.next_answer)) {
-            ++cp.next_answer;
-            continue;
-          }
-          cp.answers->ReadAnswer(cp.next_answer++, &answer_scratch_);
-          Word t = Unflatten(store_, answer_scratch_);
-          if (store_->Unify(cp.goal, t)) {
-            *goals = cp.cont;
-            return true;
-          }
-          store_->UndoTrail(cp.trail_mark);
-          store_->TruncateHeap(cp.heap_mark);
+        if (NextAnswer(cp)) {
+          *goals = cp.cont;
+          return true;
         }
         cps_.pop_back();
         continue;
@@ -210,6 +167,49 @@ bool Machine::Backtrack(size_t base_cp, const GoalNode** goals) {
       }
     }
   }
+  return false;
+}
+
+bool Machine::NextAnswer(ChoicePoint& cp) {
+  while (cp.next_answer < cp.answers->size()) {
+    // Answer subsumption: an answer retired by a better one is skipped, not
+    // returned. The cursor itself stays valid.
+    if (!cp.answers->live(cp.next_answer)) {
+      ++cp.next_answer;
+      continue;
+    }
+    if (cp.deliver != nullptr && !(*cp.deliver)()) break;
+    size_t i = cp.next_answer++;
+    if (cp.cursor != nullptr) *cp.cursor = cp.next_answer;
+    if (cp.factored) {
+      // Factored return: rebuild only the binding segments and unify each
+      // against its (goal-aliased) template variable.
+      cp.answers->ReadBindings(i, &answer_scratch_);
+      answer_vars_scratch_.assign(answer_scratch_.num_vars, 0);
+      size_t pos = 0;
+      bool ok = true;
+      for (Word tv : cp.template_vars) {
+        Word b = UnflattenNext(store_, answer_scratch_, &pos,
+                               &answer_vars_scratch_);
+        if (!store_->Unify(tv, b)) {
+          ok = false;
+          break;
+        }
+      }
+      if (ok) {
+        ++stats_.factored_answer_returns;
+        return true;
+      }
+    } else {
+      cp.answers->ReadAnswer(i, &answer_scratch_);
+      if (store_->Unify(cp.goal, Unflatten(store_, answer_scratch_))) {
+        return true;
+      }
+    }
+    store_->UndoTrail(cp.trail_mark);
+    store_->TruncateHeap(cp.heap_mark);
+  }
+  if (cp.cursor != nullptr) *cp.cursor = cp.next_answer;
   return false;
 }
 
@@ -521,7 +521,28 @@ Machine::StepResult Machine::DispatchGoal(const GoalNode** goals) {
 }
 
 Status Machine::Run(const GoalNode* goals, const SolutionFn& on_solution) {
+  return RunFrom(cps_.size(), goals, on_solution);
+}
+
+Status Machine::RunAnswers(Word goal, const AnswerSource* answers,
+                           size_t* cursor, const GoalNode* cont,
+                           const std::function<bool()>& deliver) {
   size_t base_cp = cps_.size();
+  PushAnswerChoices(goal, answers, cont);
+  ChoicePoint& cp = cps_.back();
+  cp.next_answer = *cursor;
+  cp.cursor = cursor;
+  cp.deliver = &deliver;
+  // Enter the choice point: its first answer starts the loop, which then
+  // backtracks into it for each further answer.
+  const GoalNode* g = nullptr;
+  if (!Backtrack(base_cp, &g)) return Status::Ok();
+  static const SolutionFn kIgnore = []() { return SolveAction::kContinue; };
+  return RunFrom(base_cp, g, kIgnore);
+}
+
+Status Machine::RunFrom(size_t base_cp, const GoalNode* goals,
+                        const SolutionFn& on_solution) {
   const GoalNode* g = goals;
   bool saved_stop = stop_requested_;
   stop_requested_ = false;
@@ -550,6 +571,10 @@ Status Machine::Run(const GoalNode* goals, const SolutionFn& on_solution) {
       case StepResult::kAdvance:
         continue;
       case StepResult::kBacktrack:
+        // A stop requested by this step ends the run before the next
+        // alternative is entered (an answer choice point would already
+        // advance its cursor).
+        if (stop_requested_) continue;
         if (!Backtrack(base_cp, &g)) {
           stop_requested_ = saved_stop;
           return Status::Ok();

@@ -189,6 +189,20 @@ class Machine {
   void PushAnswerChoices(Word goal, const AnswerSource* answers,
                          const GoalNode* cont);
 
+  // Runs `cont` once per stored answer of `answers`, starting at *cursor:
+  // the answer choice point of PushAnswerChoices (factored when the source
+  // is), entered at the cursor, with every answer read written back to
+  // *cursor at once — a RequestStop mid-continuation leaves it exact.
+  // Answers stored while the run is in progress are picked up too.
+  // `deliver` is consulted before each live answer; returning false ends
+  // the run with *cursor on that answer. Solutions of `cont` are ignored.
+  // The goals of `cont` should carry cut depth choice_point_count() + 1,
+  // above the answer choice point, so a '!' prunes one answer's
+  // alternatives and never the cursor.
+  Status RunAnswers(Word goal, const AnswerSource* answers, size_t* cursor,
+                    const GoalNode* cont,
+                    const std::function<bool()>& deliver);
+
   // Pushes a choice point enumerating integers low..high into `var`
   // (between/3). Enter by returning a fail-like outcome.
   void PushBetweenChoices(Word var, int64_t low, int64_t high,
@@ -254,6 +268,10 @@ class Machine {
     // kAnswers
     const AnswerSource* answers = nullptr;
     size_t next_answer = 0;
+    // RunAnswers only: where next_answer is written back, and the gate
+    // consulted before each live answer.
+    size_t* cursor = nullptr;
+    const std::function<bool()>* deliver = nullptr;
     // kAnswers, factored mode: heap cells aliased to the source's answer
     // template variables (template unified with `goal` once, at push time,
     // before this choice point's marks — so per-answer backtracking keeps
@@ -273,6 +291,13 @@ class Machine {
   // Tries alternatives from the top choice point; false when the whole
   // stack (down to base) is exhausted.
   bool Backtrack(size_t base_cp, const GoalNode** goals);
+  // Unifies the next live answer of answer choice point `cp` with its goal;
+  // false when the answers are exhausted or `deliver` declines the next.
+  bool NextAnswer(ChoicePoint& cp);
+  // The Run loop over the choice points above `base_cp`, starting at
+  // `goals`.
+  Status RunFrom(size_t base_cp, const GoalNode* goals,
+                 const SolutionFn& on_solution);
   // Resolves `goal` against a user predicate's clauses.
   StepResult CallUserPredicate(Word goal, FunctorId functor,
                                const GoalNode* cont, uint32_t cut_depth,

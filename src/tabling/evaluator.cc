@@ -413,7 +413,7 @@ TabledCallHandler::CallOutcome Evaluator::OnTabledCall(
     batch.subgoals.push_back(id);
     batch.generator_queue.push_back(id);
   }
-  // Suspend the caller as a consumer; the batch loop resumes it per answer.
+  // Suspend the caller as a consumer; the batch loop delivers its answers.
   Consumer consumer;
   consumer.producer = id;
   consumer.owner = caller;
@@ -490,43 +490,53 @@ Status Evaluator::RunGeneratorEpisode(SubgoalId id) {
   return status;
 }
 
-Status Evaluator::ResumeConsumer(SubgoalId owner, FlatTerm saved,
-                                 const FlatTerm& answer) {
-  ++stats_.resumptions;
-  ++tables_->stats().consumer_resumptions;
+Status Evaluator::ResumeConsumer(size_t batch_index, size_t consumer_index) {
   TermStore* store = machine_->store();
   SymbolTable* symbols = store->symbols();
   size_t trail = store->TrailMark();
   size_t heap = store->HeapMark();
 
-  Word pair = Unflatten(store, saved);
-  Word d = store->Deref(pair);
-  Word call = store->Arg(d, 0);
-  Word list = store->Deref(store->Arg(d, 1));
-  Word answer_term = Unflatten(store, answer);
-  if (!store->Unify(call, answer_term)) {
-    store->UndoTrail(trail);
-    store->TruncateHeap(heap);
-    return Status::Ok();  // cannot happen for variant calls; be safe
-  }
-  // Rebuild the continuation chain.
+  // The consumer vector may grow (and move) while the continuation runs:
+  // take what the pass needs now, and keep the cursor in a local.
+  const Consumer& consumer = batches_[batch_index].consumers[consumer_index];
+  SubgoalId owner = consumer.owner;
+  const AnswerTable* producer = tables_->subgoal(consumer.producer).table();
+  size_t cursor = consumer.next_answer;
+  Word pair = store->Deref(Unflatten(store, consumer.saved));
+  Word call = store->Arg(pair, 0);
+  Word list = store->Deref(store->Arg(pair, 1));
+
+  // Rebuild the continuation chain, once for the whole pass.
   std::vector<Word> goals;
   FunctorId cons = symbols->InternFunctor(symbols->dot(), 2);
   while (IsStruct(list) && store->StructFunctor(list) == cons) {
     goals.push_back(store->Arg(list, 0));
     list = store->Deref(store->Arg(list, 1));
   }
-  uint32_t cut_depth = static_cast<uint32_t>(machine_->choice_point_count());
+  // Above RunAnswers' answer choice point: see Machine::RunAnswers.
+  uint32_t cut_depth =
+      static_cast<uint32_t>(machine_->choice_point_count() + 1);
   const GoalNode* chain = nullptr;
   for (auto it = goals.rbegin(); it != goals.rend(); ++it) {
     chain = machine_->Cons(*it, chain, cut_depth);
   }
+
+  // Generators go first: a generator queued by this pass, or an aborted
+  // batch, ends the pass at the next answer boundary.
+  auto deliver = [this, batch_index]() {
+    const Batch& batch = batches_[batch_index];
+    if (batch.aborted || !batch.generator_queue.empty()) return false;
+    ++stats_.resumptions;
+    ++tables_->stats().consumer_resumptions;
+    return true;
+  };
   // The continuation is part of `owner`'s clause bodies: run it in the
   // owner's dependency-capture context.
   eval_stack_.push_back(owner);
   Status status =
-      machine_->Run(chain, []() { return SolveAction::kContinue; });
+      machine_->RunAnswers(call, producer, &cursor, chain, deliver);
   eval_stack_.pop_back();
+  batches_[batch_index].consumers[consumer_index].next_answer = cursor;
   store->UndoTrail(trail);
   store->TruncateHeap(heap);
   return status;
@@ -544,34 +554,21 @@ Status Evaluator::RunBatchLoop(size_t batch_index) {
       continue;
     }
 
-    // Deliver pending answers to consumers. The consumer vector and the
-    // answer vectors can both grow during a resumption, so everything is
-    // re-fetched through indices.
+    // Deliver pending answers to consumers, newest first: a deep producer
+    // drains before the consumers of its answers run, so one sweep carries
+    // answers all the way up a recursive chain. The vectors can grow during
+    // a pass, so everything is re-fetched through indices; consumers added
+    // during the sweep wait for the next one.
     bool progressed = false;
-    FlatTerm answer;  // scratch reused across deliveries in this pass
-    for (size_t ci = 0; ci < batches_[batch_index].consumers.size(); ++ci) {
-      while (true) {
-        if (batches_[batch_index].aborted) return Status::Ok();
-        if (!batches_[batch_index].generator_queue.empty()) break;
-        Consumer& c = batches_[batch_index].consumers[ci];
-        const AnswerTable* producer = tables_->subgoal(c.producer).table();
-        if (c.next_answer >= producer->size()) break;
-        if (!producer->live(c.next_answer)) {
-          // Answer subsumption: retired (beaten) answers are not delivered —
-          // the replacement that retired them sits later in the same table
-          // and re-fires this consumer instead.
-          ++batches_[batch_index].consumers[ci].next_answer;
-          continue;
-        }
-        producer->ReadAnswer(c.next_answer, &answer);
-        ++batches_[batch_index].consumers[ci].next_answer;
-        SubgoalId owner = batches_[batch_index].consumers[ci].owner;
-        FlatTerm saved = batches_[batch_index].consumers[ci].saved;
-        Status status = ResumeConsumer(owner, std::move(saved), answer);
-        if (!status.ok()) return status;
-        progressed = true;
-      }
-      if (!batches_[batch_index].generator_queue.empty()) break;
+    for (size_t ci = batches_[batch_index].consumers.size(); ci-- > 0;) {
+      const Batch& batch = batches_[batch_index];
+      if (batch.aborted || !batch.generator_queue.empty()) break;
+      const Consumer& c = batch.consumers[ci];
+      size_t before = c.next_answer;
+      if (before >= tables_->subgoal(c.producer).table()->size()) continue;
+      Status status = ResumeConsumer(batch_index, ci);
+      if (!status.ok()) return status;
+      progressed |= batches_[batch_index].consumers[ci].next_answer != before;
     }
     if (!batches_[batch_index].generator_queue.empty()) continue;
     if (!progressed) return Status::Ok();  // fixpoint

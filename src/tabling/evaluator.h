@@ -145,8 +145,9 @@ class Evaluator : public TabledCallHandler, public TableUpdateListener {
 
   Status RunBatchLoop(size_t batch_index);
   Status RunGeneratorEpisode(SubgoalId id);
-  Status ResumeConsumer(SubgoalId owner, FlatTerm saved,
-                        const FlatTerm& answer);
+  // One delivery pass: runs the consumer's continuation for each of its
+  // unread answers through Machine::RunAnswers, and advances its cursor.
+  Status ResumeConsumer(size_t batch_index, size_t consumer_index);
 
   // Lock-free warm-path attempt for a top-level tabled call: serve `goal`
   // from a published complete+valid table. Returns true and pushes the

@@ -249,8 +249,7 @@ std::pair<SubgoalId, bool> TableSpace::LookupOrCreate(const TermStore& store,
   sg.functor = functor;
   sg.batch_id = batch_id;
   if (spec != nullptr) sg.spec = *spec;
-  sg.answers.store(new AnswerTable(&interns_, sg.call, sg.spec),
-                   std::memory_order_release);
+  sg.answers.store(NewAnswerTable(sg), std::memory_order_release);
   // Publish last: a lock-free prober that reads this payload finds the
   // subgoal fully initialized.
   call_trie_.set_payload(leaf, id);
@@ -294,18 +293,22 @@ AnswerInsert TableSpace::AddAnswer(SubgoalId id, const TermStore& store,
   return outcome;
 }
 
-void TableSpace::RetireAnswers(Subgoal& sg) {
-  AnswerTable* fresh = new AnswerTable(&interns_, sg.call, sg.spec);
-  AnswerTable* old = sg.answers.exchange(fresh, std::memory_order_acq_rel);
+AnswerTable* TableSpace::NewAnswerTable(const Subgoal& sg) {
+  return new AnswerTable(&interns_, sg.call, sg.spec);
+}
+
+void TableSpace::RetireAnswers(Subgoal& sg, AnswerTable* replacement) {
+  AnswerTable* old =
+      sg.answers.exchange(replacement, std::memory_order_acq_rel);
   uint64_t stamp = epochs_.Retire();
   std::lock_guard<std::mutex> lock(retired_mutex_);
   retired_answers_.push_back(
       Retired{std::unique_ptr<AnswerTable>(old), stamp});
 }
 
-void TableSpace::Dispose(SubgoalId id) {
+bool TableSpace::Unlink(SubgoalId id) {
   Subgoal& sg = subgoals_[id];
-  if (sg.state_acquire() == SubgoalState::kDisposed) return;
+  if (sg.state_acquire() == SubgoalState::kDisposed) return false;
   // The trie path stays; clearing the leaf payload unlinks the variant. A
   // later variant call reuses the path and installs a fresh subgoal id.
   call_trie_.set_payload(sg.call_leaf, TokenTrie::kNoPayload);
@@ -313,26 +316,32 @@ void TableSpace::Dispose(SubgoalId id) {
   // so a revalidating reader that sees the fresh pointer must also see the
   // disposed state and reject it (see Subgoal's protocol comment).
   sg.state.store(SubgoalState::kDisposed, std::memory_order_release);
-  RetireAnswers(sg);
+  RetireAnswers(sg, NewAnswerTable(sg));
   ++stats_.subgoals_disposed;
-  NotifyCompletion();
+  return true;
+}
+
+void TableSpace::Dispose(SubgoalId id) {
+  if (Unlink(id)) NotifyCompletion();
 }
 
 void TableSpace::Clear() {
   size_t n = subgoals_.size();
   if (shared_) {
     // Concurrent readers may hold subgoal ids and trie indices: keep the
-    // arenas and dispose every live table instead of deallocating.
-    for (size_t i = 0; i < n; ++i) {
-      Dispose(static_cast<SubgoalId>(i));
-    }
+    // arenas and dispose every live table instead of deallocating. Parked
+    // callers are woken once, after the last disposal.
+    for (size_t i = 0; i < n; ++i) Unlink(static_cast<SubgoalId>(i));
+    NotifyCompletion();
     std::lock_guard<std::mutex> lock(structure_mutex_);
     pred_readers_.clear();
     return;
   }
+  // The subgoals are destroyed below, so their tables are retired without
+  // a replacement.
   for (size_t i = 0; i < n; ++i) {
     Subgoal& sg = subgoals_[i];
-    if (sg.table() != nullptr) RetireAnswers(sg);
+    if (sg.table() != nullptr) RetireAnswers(sg, nullptr);
   }
   std::lock_guard<std::mutex> lock(structure_mutex_);
   call_trie_.Clear();
@@ -402,7 +411,7 @@ void TableSpace::ResetForReevaluation(SubgoalId id, uint64_t batch_id) {
   Subgoal& sg = subgoals_[id];
   // Same publication order as Dispose: leave kComplete first, then swap.
   sg.state.store(SubgoalState::kIncomplete, std::memory_order_release);
-  RetireAnswers(sg);
+  RetireAnswers(sg, NewAnswerTable(sg));
   sg.invalid.store(false, std::memory_order_release);
   sg.batch_id = batch_id;
   ++stats_.tables_reevaluated;

@@ -130,7 +130,9 @@ class AnswerTrie {
   InternTable* interns_;
   FlatTerm template_;
   TokenTrie trie_;
-  ConcurrentArena<Leaf> leaves_;  // answers in insertion order
+  // Answers in insertion order. Small first block: most tables hold a few
+  // answers, and a large table only gains a few more blocks.
+  ConcurrentArena<Leaf, 4> leaves_;
   // Published answer count: released after the leaf is fully linked, so a
   // reader that observes size() >= k can read answers [0, k) lock-free.
   std::atomic<size_t> num_answers_{0};
@@ -504,9 +506,14 @@ class TableSpace {
   const TableStats& stats() const { return stats_; }
 
  private:
-  // Retires `id`'s current answer table (epoch-stamped limbo) and installs
-  // a fresh empty one. Caller has already moved `state` out of kComplete.
-  void RetireAnswers(Subgoal& sg);
+  // A fresh empty answer table for `sg`'s call and spec.
+  AnswerTable* NewAnswerTable(const Subgoal& sg);
+  // Retires `sg`'s current answer table (epoch-stamped limbo) and installs
+  // `replacement` (null only when the subgoal is about to be destroyed).
+  // Caller has already moved `state` out of kComplete.
+  void RetireAnswers(Subgoal& sg, AnswerTable* replacement);
+  // Dispose without waking parked callers; false if already disposed.
+  bool Unlink(SubgoalId id);
 
   bool shared_;
   InternTable interns_;

@@ -9,6 +9,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -320,6 +321,34 @@ TEST(QueryServiceTest, StatsBuiltinExposesServiceCounters) {
   // Warm path only: the coarse-fallback counter must be present and zero.
   EXPECT_NE(rendered.find("coarse_fallbacks - 0"), std::string::npos)
       << rendered;
+}
+
+// Counts NotifyCompletion calls through the schedule-perturbation hook.
+std::atomic<int> completion_notifies{0};
+void CountCompletionNotifies(const char* point) {
+  if (std::string_view(point) == "completion.notify") ++completion_notifies;
+}
+
+TEST(QueryServiceTest, AbolishAllWakesParkedCallersOnce) {
+  // Clearing a shared table space disposes every subgoal in place (readers
+  // may hold their ids), then wakes parked callers once, not once per
+  // subgoal.
+  QueryService service({.num_workers = 2});
+  ASSERT_TRUE(
+      service.Consult(std::string(kPathProgram) + ChainEdges(12)).ok());
+  for (int i = 1; i <= 6; ++i) {
+    std::string goal = "path(" + std::to_string(i) + ", X)";
+    ASSERT_EQ(SortedAnswers(service.Query(goal)).size(),
+              static_cast<size_t>(12 - i));
+  }
+  ASSERT_EQ(service.tables().num_subgoals(), 6u);
+  completion_notifies = 0;
+  TableSpace::SetSchedulePerturb(&CountCompletionNotifies);
+  service.control_session().evaluator().AbolishAllTables();
+  TableSpace::SetSchedulePerturb(nullptr);
+  EXPECT_EQ(completion_notifies.load(), 1);
+  EXPECT_EQ(service.tables().stats().subgoals_disposed.load(), 6u);
+  EXPECT_EQ(SortedAnswers(service.Query("path(3, X)")).size(), 9u);
 }
 
 // --- Multi-thread vs single-thread differential ----------------------------
