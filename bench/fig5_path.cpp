@@ -9,9 +9,7 @@
 //
 // A third section runs the same path query through the raw WAM layer on
 // acyclic chains (right recursion, so plain SLD terminates): the bytecode
-// emulator vs the ISSUE 9 native tier — the `jit` column. Chains keep the
-// whole derivation inside the JIT's straight-line subset (no builtins), so
-// this is the workload where the native tier should pay off most.
+// emulator, the engine-compilation rung underneath the tabled engine.
 //
 // Usage: fig5_path [OUT.json]
 
@@ -41,7 +39,7 @@ constexpr char kTc[] =
     "path(X,Y) :- edge(X,Y).\n"
     "path(X,Y) :- path(X,Z), edge(Z,Y).\n";
 
-// Right-recursive variant for the non-tabled WAM tiers.
+// Right-recursive variant for the non-tabled WAM emulator.
 constexpr char kTcRight[] =
     "path(X,Y) :- edge(X,Y).\n"
     "path(X,Y) :- edge(X,Z), path(Z,Y).\n";
@@ -132,10 +130,9 @@ std::vector<FigRow> Report(const char* title, const std::vector<int>& sizes,
   return rows;
 }
 
-struct JitRow {
+struct WamRow {
   int size = 0;
   xsb::bench::WamTierRun emu;
-  xsb::bench::WamTierRun jit;
 };
 
 std::string FigRowsJson(const std::vector<FigRow>& rows) {
@@ -170,55 +167,41 @@ int main(int argc, char** argv) {
       Report("Figure 5 (right): ?- path(1,X) on fanout edge(1,1..N)",
              fanout_sizes, [](int n) { return xsb::bench::FanoutEdges(n); });
 
-  PrintHeader("WAM tiers: ?- path(1,X), right recursion on acyclic chains");
-  PrintRow("chain size",
-           {"emulator ms", "jit ms", "jit speedup", "instructions"}, 14, 14);
-  std::vector<JitRow> jit_rows;
+  PrintHeader("WAM emulator: ?- path(1,X), right recursion on acyclic chains");
+  PrintRow("chain size", {"emulator ms", "instructions"}, 14, 14);
+  std::vector<WamRow> wam_rows;
   for (int n : {128, 256, 512, 1024}) {
     std::string program = std::string(kTcRight) + xsb::bench::ChainEdges(n);
-    JitRow row;
+    WamRow row;
     row.size = n;
     int reps = n <= 256 ? 20 : 4;
-    row.emu = xsb::bench::TimeWamTier(program, "path(1, X)",
-                                      /*jit_threshold=*/-1, reps);
-    row.jit = xsb::bench::TimeWamTier(program, "path(1, X)",
-                                      /*jit_threshold=*/0, reps);
-    if (row.emu.answers != row.jit.answers) std::abort();
+    row.emu = xsb::bench::TimeWamTier(program, "path(1, X)", reps);
+    // A chain of n nodes reaches n - 1 of them from node 1.
+    if (row.emu.answers != static_cast<size_t>(n - 1)) std::abort();
     PrintRow(std::to_string(n),
-             {FmtMs(row.emu.seconds), FmtMs(row.jit.seconds),
-              Fmt(row.emu.seconds / row.jit.seconds, 2),
-              std::to_string(row.emu.instructions)},
+             {FmtMs(row.emu.seconds), std::to_string(row.emu.instructions)},
              14, 14);
-    jit_rows.push_back(row);
+    wam_rows.push_back(row);
   }
 
   std::printf(
       "\nPaper's Figure 5 shape: XSB about an order of magnitude faster\n"
       "than CORAL(def); factoring narrows but does not close the gap.\n"
-      "The WAM-tier table is the engine-compilation rung underneath: the\n"
-      "chain derivation stays entirely inside the JIT's native subset, so\n"
-      "the speedup there is pure dispatch-loop elimination (jit_active=%d\n"
-      "on this host; unsupported hosts report 1.0x by construction).\n",
-      jit_rows.empty() ? 0 : static_cast<int>(jit_rows.back().jit.jit_active));
+      "The WAM table is the engine-compilation rung underneath.\n");
 
   if (argc > 1) {
-    std::string json = "{\n  \"bench\": \"fig5_path\",\n  \"jit_active\": ";
-    json += (!jit_rows.empty() && jit_rows.back().jit.jit_active) ? "true"
-                                                                  : "false";
-    json += ",\n  \"cycle_rows\": [\n" + FigRowsJson(cycle_rows) +
-            "  ],\n  \"fanout_rows\": [\n" + FigRowsJson(fanout_rows) +
-            "  ],\n  \"jit_chain_rows\": [\n";
-    for (size_t i = 0; i < jit_rows.size(); ++i) {
-      const JitRow& r = jit_rows[i];
+    std::string json =
+        "{\n  \"bench\": \"fig5_path\",\n  \"cycle_rows\": [\n" +
+        FigRowsJson(cycle_rows) + "  ],\n  \"fanout_rows\": [\n" +
+        FigRowsJson(fanout_rows) + "  ],\n  \"wam_chain_rows\": [\n";
+    for (size_t i = 0; i < wam_rows.size(); ++i) {
+      const WamRow& r = wam_rows[i];
       json += "    {\"chain_size\": " + std::to_string(r.size) +
               ", \"answers\": " + std::to_string(r.emu.answers) +
               ", \"wam_emulator_ms\": " + Fmt(r.emu.seconds * 1e3, 3) +
-              ", \"wam_jit_ms\": " + Fmt(r.jit.seconds * 1e3, 3) +
-              ", \"jit_speedup\": " + Fmt(r.emu.seconds / r.jit.seconds, 2) +
               ", \"instructions\": " + std::to_string(r.emu.instructions) +
-              ", \"jit_compiled_preds\": " + std::to_string(r.jit.jit_compiled) +
               "}";
-      json += (i + 1 < jit_rows.size()) ? ",\n" : "\n";
+      json += (i + 1 < wam_rows.size()) ? ",\n" : "\n";
     }
     json += "  ]\n}\n";
     std::ofstream out(argv[1]);

@@ -11,8 +11,8 @@
 //   1. the paper's original comparison — meta-interpreted SLG vs the engine
 //      on cycles (tabling required: plain SLD loops);
 //   2. the full execution-tier ladder on acyclic chains, where every tier
-//      terminates: meta-interpreter → engine SLG → WAM emulator → WAM JIT
-//      (DESIGN.md "Execution tiers"; the JIT column is the ISSUE 9 tier).
+//      terminates: meta-interpreter → engine SLG → WAM emulator
+//      (DESIGN.md "Execution tiers").
 //
 // Usage: meta_overhead [OUT.json]  (JSON carries the ladder rows)
 
@@ -58,7 +58,7 @@ constexpr char kMetaInterpreter[] = R"PROGRAM(
     mi_solve(G) :- retractall(ans(_)), mi_fixpoint, ans(G).
 )PROGRAM";
 
-// Right recursion, so SLD terminates on acyclic data (the non-tabled tiers).
+// Right recursion, so SLD terminates on acyclic data (the non-tabled tier).
 constexpr char kChainTc[] =
     "path(X,Y) :- edge(X,Y).\n"
     "path(X,Y) :- edge(X,Z), path(Z,Y).\n";
@@ -97,17 +97,15 @@ struct LadderRow {
   double meta = -1;  // < 0: skipped (meta is too slow at this size)
   double engine = 0;
   xsb::bench::WamTierRun emu;
-  xsb::bench::WamTierRun jit;
 };
 
 // The nrev ladder runs WAM-only (nrev is not a tabling workload): naive
-// reverse of an n-element ground list on both WAM tiers, carrying the
+// reverse of an n-element ground list on the emulator, carrying the
 // choice-point and structure-switch counters so the first-argument-indexing
 // win is diffable in the JSON snapshot.
 struct NrevRow {
   int size = 0;
   xsb::bench::WamTierRun emu;
-  xsb::bench::WamTierRun jit;
 };
 
 std::string NrevProgram() {
@@ -146,10 +144,9 @@ int main(int argc, char** argv) {
   }
 
   PrintHeader(
-      "execution tiers: ?- path(1,X) on a chain (meta -> SLG -> WAM -> JIT)");
-  PrintRow("chain size",
-           {"meta ms", "SLG ms", "WAM emu ms", "WAM jit ms", "emu/jit"}, 14,
-           12);
+      "execution tiers: ?- path(1,X) on a chain (meta -> SLG -> WAM)");
+  PrintRow("chain size", {"meta ms", "SLG ms", "WAM emu ms", "instructions"},
+           14, 14);
   std::vector<LadderRow> rows;
   for (int n : {8, 16, 64, 256}) {
     LadderRow row;
@@ -163,41 +160,27 @@ int main(int argc, char** argv) {
     // Small chains solve in microseconds: amplify with in-loop repetitions
     // so the per-solve time is above timer noise.
     int reps = n <= 16 ? 400 : (n <= 64 ? 50 : 5);
-    row.emu = xsb::bench::TimeWamTier(program, "path(1, X)",
-                                      /*jit_threshold=*/-1, reps);
-    row.jit = xsb::bench::TimeWamTier(program, "path(1, X)",
-                                      /*jit_threshold=*/0, reps);
-    if (row.emu.answers != row.jit.answers) std::abort();
+    row.emu = xsb::bench::TimeWamTier(program, "path(1, X)", reps);
+    // A chain of n nodes reaches n - 1 of them from node 1.
+    if (row.emu.answers != static_cast<size_t>(n - 1)) std::abort();
     PrintRow(std::to_string(n),
              {row.meta < 0 ? "-" : FmtMs(row.meta), FmtMs(row.engine),
-              FmtMs(row.emu.seconds), FmtMs(row.jit.seconds),
-              Fmt(row.emu.seconds / row.jit.seconds, 2)},
-             14, 12);
+              FmtMs(row.emu.seconds), std::to_string(row.emu.instructions)},
+             14, 14);
     rows.push_back(row);
   }
 
-  PrintHeader("nrev ladder: ?- nrev([1..n], R) on both WAM tiers");
-  PrintRow("list size",
-           {"WAM emu ms", "WAM jit ms", "emu/jit", "choice pts", "struct hits"},
-           14, 12);
+  PrintHeader("nrev ladder: ?- nrev([1..n], R) on the WAM emulator");
+  PrintRow("list size", {"WAM emu ms", "choice pts", "struct hits"}, 14, 12);
   std::vector<NrevRow> nrev_rows;
   for (int n : {10, 30, 100}) {
     NrevRow row;
     row.size = n;
     int reps = n <= 30 ? 400 : 50;
-    row.emu = xsb::bench::TimeWamTier(NrevProgram(), NrevGoal(n),
-                                      /*jit_threshold=*/-1, reps);
-    row.jit = xsb::bench::TimeWamTier(NrevProgram(), NrevGoal(n),
-                                      /*jit_threshold=*/0, reps);
-    if (row.emu.answers != row.jit.answers ||
-        row.emu.choice_points != row.jit.choice_points ||
-        row.emu.instructions != row.jit.instructions) {
-      std::abort();  // the tiers must be byte-identical on counters
-    }
+    row.emu = xsb::bench::TimeWamTier(NrevProgram(), NrevGoal(n), reps);
+    if (row.emu.answers != 1) std::abort();  // nrev of a ground list is det
     PrintRow(std::to_string(n),
-             {FmtMs(row.emu.seconds), FmtMs(row.jit.seconds),
-              Fmt(row.emu.seconds / row.jit.seconds, 2),
-              std::to_string(row.emu.choice_points),
+             {FmtMs(row.emu.seconds), std::to_string(row.emu.choice_points),
               std::to_string(row.emu.switch_structure_hits)},
              14, 12);
     nrev_rows.push_back(row);
@@ -211,15 +194,11 @@ int main(int argc, char** argv) {
       "round, so its gap *grows* with the cycle length; at small sizes it\n"
       "sits in the paper's hundreds-of-x regime. The chain ladder extends\n"
       "Table 3 downward: the same query, each tier dropping one layer of\n"
-      "interpretation (jit column requires x64 + executable pages;\n"
-      "jit_active=%d here).\n",
-      rows.empty() ? 0 : static_cast<int>(rows.back().jit.jit_active));
+      "interpretation.\n");
 
   if (argc > 1) {
-    std::string json = "{\n  \"bench\": \"meta_overhead\",\n";
-    json += "  \"jit_active\": ";
-    json += (!rows.empty() && rows.back().jit.jit_active) ? "true" : "false";
-    json += ",\n  \"ladder_rows\": [\n";
+    std::string json =
+        "{\n  \"bench\": \"meta_overhead\",\n  \"ladder_rows\": [\n";
     for (size_t i = 0; i < rows.size(); ++i) {
       const LadderRow& r = rows[i];
       json += "    {\"chain_size\": " + std::to_string(r.size) +
@@ -229,9 +208,6 @@ int main(int argc, char** argv) {
               ", \"engine_slg_ms\": " + xsb::bench::Fmt(r.engine * 1e3, 3) +
               ", \"wam_emulator_ms\": " +
               xsb::bench::Fmt(r.emu.seconds * 1e3, 3) +
-              ", \"wam_jit_ms\": " + xsb::bench::Fmt(r.jit.seconds * 1e3, 3) +
-              ", \"jit_speedup\": " +
-              xsb::bench::Fmt(r.emu.seconds / r.jit.seconds, 2) +
               ", \"instructions\": " + std::to_string(r.emu.instructions) +
               ", \"choice_points\": " + std::to_string(r.emu.choice_points) +
               "}";
@@ -243,9 +219,6 @@ int main(int argc, char** argv) {
       json += "    {\"list_size\": " + std::to_string(r.size) +
               ", \"wam_emulator_ms\": " +
               xsb::bench::Fmt(r.emu.seconds * 1e3, 3) +
-              ", \"wam_jit_ms\": " + xsb::bench::Fmt(r.jit.seconds * 1e3, 3) +
-              ", \"jit_speedup\": " +
-              xsb::bench::Fmt(r.emu.seconds / r.jit.seconds, 2) +
               ", \"instructions\": " + std::to_string(r.emu.instructions) +
               ", \"choice_points\": " + std::to_string(r.emu.choice_points) +
               ", \"switch_structure_hits\": " +

@@ -53,23 +53,14 @@ struct Row {
   const char* key;
   Column spec;
   Column generic;
-  Column jit;  // the specialized module on the native tier (threshold 0)
-  bool jit_active = false;
 };
 
-// jit_threshold is pinned explicitly: -1 keeps the measurement on the
-// bytecode emulator regardless of XSB_JIT_THRESHOLD in the environment,
-// 0 compiles every predicate before the timed runs (first solve is warmup).
 Column RunOne(TermStore* store, Program* program,
-              const wam::CompiledModule& module, const std::string& goal,
-              int64_t jit_threshold, bool* jit_active = nullptr) {
+              const wam::CompiledModule& module, const std::string& goal) {
   Result<Word> g = ParseTermString(store, program->ops(), goal);
   if (!g.ok()) std::abort();
   Column col;
-  wam::EmulatorOptions eopts;
-  eopts.jit_threshold = jit_threshold;
-  wam::Emulator emulator(store, &module, eopts);
-  if (jit_active != nullptr) *jit_active = emulator.jit_active();
+  wam::Emulator emulator(store, &module);
   auto solve = [&]() {
     size_t trail = store->TrailMark();
     size_t count = 0;
@@ -128,20 +119,13 @@ Row Run(const Workload& w) {
 
   Row row;
   row.key = w.key;
-  row.generic = RunOne(&store, &program, generic.value(), w.goal,
-                       /*jit_threshold=*/-1);
-  row.spec = RunOne(&store, &program, spec.value(), w.goal,
-                    /*jit_threshold=*/-1);
-  row.jit = RunOne(&store, &program, spec.value(), w.goal,
-                   /*jit_threshold=*/0, &row.jit_active);
+  row.generic = RunOne(&store, &program, generic.value(), w.goal);
+  row.spec = RunOne(&store, &program, spec.value(), w.goal);
   if (row.spec.answers != row.generic.answers) std::abort();
-  if (row.jit.answers != row.spec.answers) std::abort();
-  if (row.jit.instructions != row.spec.instructions) std::abort();
-  if (row.jit.choice_points != row.spec.choice_points) std::abort();
   std::printf(
       "%-16s answers=%5zu  spec: time_ms=%8.3f instr=%8llu cps=%5llu "
       "checks=%6llu fallbacks=%3llu | generic: time_ms=%8.3f instr=%8llu "
-      "cps=%5llu | jit: time_ms=%8.3f speedup=%.2f\n",
+      "cps=%5llu\n",
       row.key, row.spec.answers, row.spec.time_ms,
       static_cast<unsigned long long>(row.spec.instructions),
       static_cast<unsigned long long>(row.spec.choice_points),
@@ -149,8 +133,7 @@ Row Run(const Workload& w) {
       static_cast<unsigned long long>(row.spec.mode_fallbacks),
       row.generic.time_ms,
       static_cast<unsigned long long>(row.generic.instructions),
-      static_cast<unsigned long long>(row.generic.choice_points),
-      row.jit.time_ms, row.spec.time_ms / row.jit.time_ms);
+      static_cast<unsigned long long>(row.generic.choice_points));
   return row;
 }
 
@@ -201,9 +184,7 @@ int main(int argc, char** argv) {
              ", \"switch_structure_hits\": " +
              std::to_string(c.switch_structure_hits) + "}";
     };
-    std::string json = "{\n  \"bench\": \"wam_modes\",\n  \"jit_active\": ";
-    json += (!rows.empty() && rows.front().jit_active) ? "true" : "false";
-    json += ",\n  \"rows\": [\n";
+    std::string json = "{\n  \"bench\": \"wam_modes\",\n  \"rows\": [\n";
     for (size_t i = 0; i < rows.size(); ++i) {
       const Row& r = rows[i];
       int64_t saved = static_cast<int64_t>(r.generic.instructions) -
@@ -212,10 +193,7 @@ int main(int argc, char** argv) {
               "\", \"answers\": " + std::to_string(r.spec.answers) +
               ", \"instructions_saved\": " + std::to_string(saved) +
               ", \"spec_on\": " + column(r.spec) +
-              ", \"spec_off\": " + column(r.generic) +
-              ", \"jit\": " + column(r.jit) +
-              ", \"jit_speedup\": " +
-              bench::Fmt(r.spec.time_ms / r.jit.time_ms, 2) + "}";
+              ", \"spec_off\": " + column(r.generic) + "}";
       json += (i + 1 < rows.size()) ? ",\n" : "\n";
     }
     json += "  ]\n}\n";

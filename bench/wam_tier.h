@@ -1,12 +1,9 @@
 #ifndef XSB_BENCH_WAM_TIER_H_
 #define XSB_BENCH_WAM_TIER_H_
 
-// Shared harness for timing a goal on the raw WAM layer at a chosen
-// execution tier: jit_threshold = -1 pins the bytecode emulator,
-// jit_threshold = 0 compiles every predicate to native code on first entry
-// (the top rung of the Table 3 ladder; see DESIGN.md "Execution tiers").
-// Benches must pin the tier explicitly — a default-constructed Emulator
-// reads XSB_JIT_THRESHOLD and would tier up mid-measurement.
+// Shared harness for timing a goal on the raw WAM layer: the bytecode
+// emulator, the top rung of the Table 3 ladder (see DESIGN.md "Execution
+// tiers").
 
 #include <cstdint>
 #include <cstdlib>
@@ -26,18 +23,15 @@ struct WamTierRun {
   uint64_t instructions = 0;   // WAM instructions retired by one solve
   uint64_t choice_points = 0;  // choice points pushed by one solve
   uint64_t switch_structure_hits = 0;  // functor-keyed dispatches in one solve
-  bool jit_active = false;     // a native tier exists on this emulator
-  uint64_t jit_compiled = 0;   // predicates actually compiled to x64
 };
 
-// Consults `program`, compiles it, and times `goal` on one emulator built
-// with the given tier-up threshold. Each timed iteration runs the solve
-// `reps` times (amplifies sub-millisecond workloads above timer noise); the
-// returned per-solve time divides that back out. The first solve is untimed
-// warmup, so with threshold 0 the timed runs are all-native.
+// Consults `program`, compiles it, and times `goal` on one emulator. Each
+// timed iteration runs the solve `reps` times (amplifies sub-millisecond
+// workloads above timer noise); the returned per-solve time divides that
+// back out. The first solve is untimed warmup.
 inline WamTierRun TimeWamTier(const std::string& program,
-                              const std::string& goal, int64_t jit_threshold,
-                              int reps = 1, double min_seconds = 0.05,
+                              const std::string& goal, int reps = 1,
+                              double min_seconds = 0.05,
                               int max_repeats = 7) {
   SymbolTable symbols;
   TermStore store(&symbols);
@@ -46,14 +40,11 @@ inline WamTierRun TimeWamTier(const std::string& program,
   if (!loader.ConsultString(program).ok()) std::abort();
   Result<wam::CompiledModule> compiled = wam::CompileModule(&store, prog, {});
   if (!compiled.ok()) std::abort();
-  wam::EmulatorOptions opts;
-  opts.jit_threshold = jit_threshold;
-  wam::Emulator emulator(&store, &compiled.value(), opts);
+  wam::Emulator emulator(&store, &compiled.value());
   Result<Word> g = ParseTermString(&store, prog.ops(), goal);
   if (!g.ok()) std::abort();
 
   WamTierRun run;
-  run.jit_active = emulator.jit_active();
   auto solve = [&]() {
     size_t trail = store.TrailMark();
     size_t count = 0;
@@ -65,7 +56,7 @@ inline WamTierRun TimeWamTier(const std::string& program,
     if (!s.ok()) std::abort();
     run.answers = count;
   };
-  solve();  // warmup: tier-up (if any) happens here, off the clock
+  solve();  // warmup, off the clock
   uint64_t instr0 = emulator.stats().instructions;
   uint64_t cps0 = emulator.stats().choice_points;
   uint64_t swh0 = emulator.stats().switch_structure_hits;
@@ -80,7 +71,6 @@ inline WamTierRun TimeWamTier(const std::string& program,
                     },
                     min_seconds, max_repeats) /
                 reps;
-  run.jit_compiled = emulator.stats().jit_compiled_preds;
   return run;
 }
 

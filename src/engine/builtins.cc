@@ -9,7 +9,6 @@
 
 #include "analysis/analyzer.h"
 #include "parser/writer.h"
-#include "wam/emulator.h"
 
 namespace xsb {
 namespace {
@@ -904,43 +903,6 @@ BuiltinResult BuiltinTableStats(Machine& m, Word goal, const GoalNode*) {
   return UnifyResult(m, Arg(m, goal, 1), list);
 }
 
-// wam_stats/2: wam_stats(all, Stats) unifies Stats with the process-wide WAM
-// execution-tier counters as [instructions-N, choice_points-N, mode_checks-N,
-// mode_fallbacks-N, jit_compiled_preds-N, jit_entries-N, jit_bailouts-N,
-// switch_structure_hits-N, switch_miss_linear-N].
-// Counters aggregate over every emulator instance the process has run
-// (flushed at the end of each Solve), so benches and the shell can read the
-// tier ladder — including how much work ran natively — without touching C++
-// structs. The same functor is recognized by the WAM compiler, so the goal
-// also works when compiled straight to bytecode.
-BuiltinResult BuiltinWamStatsEngine(Machine& m, Word goal, const GoalNode*) {
-  TermStore* store = m.store();
-  SymbolTable* symbols = store->symbols();
-  wam::WamStats stats = wam::GlobalWamStats();
-  FunctorId dash = symbols->InternFunctor(symbols->InternAtom("-"), 2);
-  auto pair = [&](const char* name, uint64_t value) {
-    return store->MakeStruct(dash,
-                             {AtomCell(symbols->InternAtom(name)),
-                              IntCell(static_cast<int64_t>(value))});
-  };
-  std::vector<Word> items = {
-      pair("instructions", stats.instructions),
-      pair("choice_points", stats.choice_points),
-      pair("mode_checks", stats.mode_checks),
-      pair("mode_fallbacks", stats.mode_fallbacks),
-      pair("jit_compiled_preds", stats.jit_compiled_preds),
-      pair("jit_entries", stats.jit_entries),
-      pair("jit_bailouts", stats.jit_bailouts),
-      pair("switch_structure_hits", stats.switch_structure_hits),
-      pair("switch_miss_linear", stats.switch_miss_linear),
-  };
-  Word list = store->MakeList(items, AtomCell(symbols->nil()));
-  if (!store->Unify(Arg(m, goal, 0), AtomCell(symbols->InternAtom("all")))) {
-    return BuiltinResult::kFail;
-  }
-  return UnifyResult(m, Arg(m, goal, 1), list);
-}
-
 // analyze/1: reruns the consult-time program analyzer on demand and unifies
 // its argument with a report:
 //   [sccs-N, stratified-B, widened-B,
@@ -1250,7 +1212,6 @@ BuiltinRegistry::BuiltinRegistry(SymbolTable* symbols) {
   Register(symbols, "atom_concat", 3, BuiltinAtomConcat);
   Register(symbols, "clause", 2, BuiltinClause);
   Register(symbols, "table_stats", 2, BuiltinTableStats);
-  Register(symbols, "wam_stats", 2, BuiltinWamStatsEngine);
   Register(symbols, "table_state", 2, BuiltinTableState);
   Register(symbols, "analyze", 1, BuiltinAnalyze);
   Register(symbols, "predicate_mode", 2, BuiltinPredicateMode);

@@ -8,12 +8,10 @@
 
 namespace xsb {
 
-// A growable buffer of trivially-copyable cells with a fixed, standard-layout
-// field order: {data, len, cap}. The term heap and the binding trail use this
-// instead of std::vector so native (JIT-compiled) code can address the live
-// buffer directly: the three fields sit at offsets 0/8/16 from the RawBuf
-// address, which is stable for the lifetime of the owning TermStore even as
-// the data block reallocates.
+// A growable buffer of trivially-copyable cells: a data pointer, a length
+// and a capacity. The term heap and the binding trail use it instead of
+// std::vector. Growth is a plain realloc, which can extend the block in place
+// rather than copying it, and truncation only moves `len`.
 template <typename T>
 struct RawBuf {
   static_assert(std::is_trivially_copyable_v<T>);

@@ -123,14 +123,6 @@ class TermStore {
   // Copies t to fresh heap cells with fresh variables (copy_term/2).
   Word CopyTerm(Word t);
 
-  // --- Native-code access --------------------------------------------------
-
-  // The live heap and trail buffers, exposed so the WAM JIT can bake their
-  // (stable) addresses into generated code and bump-allocate inline. Regular
-  // engine code must keep going through the methods above.
-  RawBuf<Word>& heap_buf() { return heap_; }
-  RawBuf<uint64_t>& trail_buf() { return trail_; }
-
  private:
   SymbolTable* symbols_;
   RawBuf<Word> heap_;

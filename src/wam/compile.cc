@@ -104,8 +104,7 @@ class Compiler {
       }
     }
 
-    size_t begin = Here();
-    module_.entries[functor] = begin;
+    module_.entries[functor] = Here();
 
     // Mode specialization: when the published modes prove arguments bound
     // at every analyzed call site and that buys at least one cheaper head
@@ -128,8 +127,6 @@ class Compiler {
     }
     Status s = EmitPredicateBody(pred, live, first_keys, switchable, arity);
     if (!s.ok()) return s;
-    module_.pred_ranges.push_back(PredRange{
-        functor, static_cast<uint32_t>(begin), static_cast<uint32_t>(Here())});
     return Status::Ok();
   }
 

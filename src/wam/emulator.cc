@@ -1,58 +1,12 @@
 #include "wam/emulator.h"
 
-#include <mutex>
-
 #include "db/program.h"
 
 namespace xsb::wam {
 
 namespace {
 constexpr uint32_t kFailTarget = 0xffffffffu;
-
-std::mutex& GlobalStatsMutex() {
-  static std::mutex* m = new std::mutex;
-  return *m;
-}
-WamStats& GlobalStatsTotals() {
-  static WamStats* t = new WamStats;
-  return *t;
-}
 }  // namespace
-
-WamStats GlobalWamStats() {
-  std::lock_guard<std::mutex> lock(GlobalStatsMutex());
-  return GlobalStatsTotals();
-}
-
-Emulator::Emulator(TermStore* store, const CompiledModule* module,
-                   EmulatorOptions options)
-    : store_(store), module_(module) {
-  if (options.jit_threshold >= 0 && !module->pred_ranges.empty() &&
-      Jit::HostSupported()) {
-    jit_ = std::make_unique<Jit>(this, module, store, options.jit_threshold);
-    if (!jit_->available()) jit_.reset();
-  }
-}
-
-Emulator::~Emulator() { FlushGlobalStats(); }
-
-void Emulator::FlushGlobalStats() {
-  std::lock_guard<std::mutex> lock(GlobalStatsMutex());
-  WamStats& t = GlobalStatsTotals();
-  t.instructions += stats_.instructions - flushed_.instructions;
-  t.choice_points += stats_.choice_points - flushed_.choice_points;
-  t.mode_checks += stats_.mode_checks - flushed_.mode_checks;
-  t.mode_fallbacks += stats_.mode_fallbacks - flushed_.mode_fallbacks;
-  t.jit_compiled_preds +=
-      stats_.jit_compiled_preds - flushed_.jit_compiled_preds;
-  t.jit_entries += stats_.jit_entries - flushed_.jit_entries;
-  t.jit_bailouts += stats_.jit_bailouts - flushed_.jit_bailouts;
-  t.switch_structure_hits +=
-      stats_.switch_structure_hits - flushed_.switch_structure_hits;
-  t.switch_miss_linear +=
-      stats_.switch_miss_linear - flushed_.switch_miss_linear;
-  flushed_ = stats_;
-}
 
 bool Emulator::GroundForMode(Word w) {
   std::vector<Word>& work = ground_work_;  // reused scratch space
@@ -83,9 +37,6 @@ bool Emulator::BuiltinWamStats() {
       pair("choice_points", snap.choice_points),
       pair("mode_checks", snap.mode_checks),
       pair("mode_fallbacks", snap.mode_fallbacks),
-      pair("jit_compiled_preds", snap.jit_compiled_preds),
-      pair("jit_entries", snap.jit_entries),
-      pair("jit_bailouts", snap.jit_bailouts),
       pair("switch_structure_hits", snap.switch_structure_hits),
       pair("switch_miss_linear", snap.switch_miss_linear),
   };
@@ -149,12 +100,6 @@ Result<int64_t> Emulator::Eval(Word expression) {
 }
 
 Status Emulator::Solve(Word goal, const WamSolutionFn& on_solution) {
-  Status status = SolveImpl(goal, on_solution);
-  FlushGlobalStats();
-  return status;
-}
-
-Status Emulator::SolveImpl(Word goal, const WamSolutionFn& on_solution) {
   goal = store_->Deref(goal);
   std::optional<FunctorId> functor = Program::CallableFunctor(*store_, goal);
   if (!functor.has_value()) return TypeError("wam: goal is not callable");
@@ -163,11 +108,8 @@ Status Emulator::SolveImpl(Word goal, const WamSolutionFn& on_solution) {
     return InvalidError("wam: predicate not compiled in this module");
   }
 
-  // Reset machine state. The JIT bakes X-register slots into native code, so
-  // keep x_ at least as large as any compiled predicate needs.
-  size_t min_x = jit_ != nullptr ? std::max<size_t>(16, jit_->max_xreg_plus1())
-                                 : 16;
-  x_.assign(min_x, 0);
+  // Reset machine state.
+  x_.assign(16, 0);
   frames_size_ = 0;  // storage kept: see the high-water-mark stack comment
   cur_frame_ = 0;
   cps_size_ = 0;
@@ -196,27 +138,7 @@ Status Emulator::SolveImpl(Word goal, const WamSolutionFn& on_solution) {
     }
   };
 
-  Jit* jit = jit_.get();
-
   while (running) {
-    if (jit != nullptr) {
-      uint8_t jf = jit->FlagsAt(pc);
-      if (jf != 0) {
-        if ((jf & Jit::kFlagEntry) != 0) {
-          jit->OnEntry(pc);
-          jf = jit->FlagsAt(pc);  // compilation may have set kFlagNative
-        }
-        if ((jf & Jit::kFlagNative) != 0) {
-          uint64_t next = jit->Execute(pc, &cont, &s, &write_mode);
-          if (next == Jit::kFailStop) {
-            running = false;
-          } else {
-            pc = next;
-          }
-          continue;
-        }
-      }
-    }
     const Instr& instr = code[pc];
     ++stats_.instructions;
     switch (instr.op) {

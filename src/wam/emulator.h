@@ -3,13 +3,11 @@
 
 #include <algorithm>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "base/status.h"
 #include "term/store.h"
 #include "wam/instr.h"
-#include "wam/jit.h"
 
 namespace xsb::wam {
 
@@ -24,12 +22,6 @@ struct WamStats {
   // back to the generic copy (a call violating its inferred mode pattern).
   uint64_t mode_checks = 0;
   uint64_t mode_fallbacks = 0;
-  // JIT tier: predicates compiled to native code, native-code entries from
-  // the interpreter loop, and bailouts back into it (every native entry that
-  // did not end the search returns through a bailout at some bytecode pc).
-  uint64_t jit_compiled_preds = 0;
-  uint64_t jit_entries = 0;
-  uint64_t jit_bailouts = 0;
   // First-argument indexing: structure-key dispatches that hit (functor
   // table or './2' fast path), and calls that fell through to a linear
   // clause chain — a switch_on_term taking its var arm, or an unindexed
@@ -38,46 +30,45 @@ struct WamStats {
   uint64_t switch_miss_linear = 0;
 };
 
-// Aggregate counters across every Emulator in the process, flushed at the
-// end of each Solve. The engine-level wam_stats/2 builtin reports these.
-WamStats GlobalWamStats();
-
-struct EmulatorOptions {
-  // JIT tier-up threshold: <0 disables the JIT, 0 compiles every predicate
-  // on its first call, N>0 tiers a predicate up after N entries. Defaults to
-  // the XSB_JIT_THRESHOLD environment variable (see DefaultJitThreshold).
-  int64_t jit_threshold = DefaultJitThreshold();
-};
-
 // The WAM bytecode emulator: registers, environment stack and choice-point
 // stack over the shared TermStore heap/trail. This is the "compiled"
 // execution tier of the reproduction (Table 3's fastest rows are the
-// WAM-based systems); hot predicates additionally tier up to native code
-// through the Jit, which shares the primitives below.
+// WAM-based systems) and the only way WAM code runs.
 class Emulator {
  public:
-  explicit Emulator(TermStore* store, const CompiledModule* module,
-                    EmulatorOptions options = EmulatorOptions());
-  ~Emulator();
+  Emulator(TermStore* store, const CompiledModule* module)
+      : store_(store), module_(module) {}
 
   // Proves `goal` (a heap term whose predicate is compiled in the module),
   // invoking the callback per solution with bindings live.
   Status Solve(Word goal, const WamSolutionFn& on_solution);
 
+  // This emulator's counters, accumulated over every Solve; the compiled
+  // wam_stats/2 builtin reports them.
   WamStats& stats() { return stats_; }
-  bool jit_active() const { return jit_ != nullptr; }
 
-  // --- Choice-point / environment / guard primitives ------------------------
-  // Shared verbatim by the interpreter's dispatch switch and the JIT's
-  // runtime helpers, so both tiers execute identical semantics by
-  // construction.
+ private:
+  struct Frame {
+    size_t cont_pc;
+    size_t prev_frame;  // index+1; 0 = none
+    std::vector<Word> y;
+  };
+  struct Choice {
+    size_t alt_pc;
+    size_t cont_pc;
+    size_t frame;        // cur_frame_ at creation
+    size_t frames_size;  // frames_.size() at creation
+    size_t trail_mark;
+    size_t heap_mark;
+    std::vector<Word> args;  // A1..An snapshot
+  };
 
   // Choice points and environment frames live in high-water-mark stacks:
   // popping only moves the logical size (cps_size_/frames_size_), so the
   // per-entry vectors (saved A registers, Y slots) keep their capacity and
   // a push after warmup allocates nothing. A malloc+free per choice point
-  // would otherwise dominate backtracking-heavy programs on both execution
-  // tiers (every two-clause call pushes one).
+  // would otherwise dominate backtracking-heavy programs (every two-clause
+  // call pushes one).
   void PushChoice(size_t alt_pc, uint32_t arity, size_t cont) {
     if (cps_.size() == cps_size_) cps_.emplace_back();
     Choice& cp = cps_[cps_size_++];
@@ -121,24 +112,6 @@ class Emulator {
   // The kCheckMode groundness walk (iterative, reused scratch).
   bool GroundForMode(Word w);
 
- private:
-  friend class Jit;
-
-  struct Frame {
-    size_t cont_pc;
-    size_t prev_frame;  // index+1; 0 = none
-    std::vector<Word> y;
-  };
-  struct Choice {
-    size_t alt_pc;
-    size_t cont_pc;
-    size_t frame;        // cur_frame_ at creation
-    size_t frames_size;  // frames_.size() at creation
-    size_t trail_mark;
-    size_t heap_mark;
-    std::vector<Word> args;  // A1..An snapshot
-  };
-
   Word& Reg(uint32_t reg) {
     if (IsYReg(reg)) return frames_[cur_frame_ - 1].y[RegIndex(reg)];
     uint32_t ix = RegIndex(reg);
@@ -146,10 +119,8 @@ class Emulator {
     return x_[ix];
   }
 
-  Status SolveImpl(Word goal, const WamSolutionFn& on_solution);
   Result<int64_t> Eval(Word expression);
   bool BuiltinWamStats();
-  void FlushGlobalStats();
 
   TermStore* store_;
   const CompiledModule* module_;
@@ -161,8 +132,6 @@ class Emulator {
   size_t cps_size_ = 0;
   std::vector<Word> ground_work_;  // kCheckMode ground-walk scratch
   WamStats stats_;
-  WamStats flushed_;  // portion of stats_ already added to the global totals
-  std::unique_ptr<Jit> jit_;  // null: interpret only
 };
 
 }  // namespace xsb::wam

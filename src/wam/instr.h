@@ -108,22 +108,10 @@ struct Instr {
   uint32_t c = 0;
 };
 
-// The code range a predicate's instructions occupy: [begin, end), with
-// `begin` also its entry pc. The JIT compiles whole ranges so every static
-// branch target (switch arms, clause blocks, check_mode fallbacks) stays
-// inside the compiled unit.
-struct PredRange {
-  FunctorId functor;
-  uint32_t begin;
-  uint32_t end;
-};
-
 // One first-argument dispatch table (constant- or functor-keyed). Small
 // fanouts stay an insertion-ordered vector scanned linearly — for the 2-4
 // key predicates that dominate real programs a scan beats hashing — and
-// escalate to a hash map once the key count passes kHashFanout. Both the
-// emulator's switch dispatch and the JIT's runtime helpers read the same
-// table, so the tiers cannot disagree on a lookup.
+// escalate to a hash map once the key count passes kHashFanout.
 struct SwitchTable {
   static constexpr uint32_t kMiss = 0xffffffffu;
   static constexpr size_t kHashFanout = 8;
@@ -171,8 +159,6 @@ struct CompiledModule {
   // kCheckMode argument-mode specs (kMode* bytes per argument position;
   // kModeAny positions are not checked).
   std::vector<std::vector<uint8_t>> mode_specs;
-  // Per-predicate pc extents, in emission order (the JIT's unit of work).
-  std::vector<PredRange> pred_ranges;
 
   size_t AddConstant(Word w) {
     for (size_t i = 0; i < constants.size(); ++i) {

@@ -2,10 +2,10 @@
 // predicates whose clauses mix constant, integer, structure, list, and
 // variable first-argument keys are compiled twice — with the two-level
 // switch_on_term/switch_on_constant/switch_on_structure dispatch, and with
-// CompileOptions::index off (pure try_me_else chains) — and run on both WAM
-// tiers. All four configurations must produce identical answers in
-// identical (source clause) order: indexing may delete choice points and
-// skip non-matching clauses, never change or reorder the answer relation.
+// CompileOptions::index off (pure try_me_else chains) — and run on the
+// emulator. Both configurations must produce identical answers in identical
+// (source clause) order: indexing may delete choice points and skip
+// non-matching clauses, never change or reorder the answer relation.
 
 #include <gtest/gtest.h>
 
@@ -66,7 +66,7 @@ RandomProgram MakeProgram(uint32_t seed) {
     }
     if (var_key) {
       // Variable-keyed clause: defeats the switch, but still grounds the
-      // answer so all configurations render the same bindings.
+      // answer so both configurations render the same bindings.
       out.text += "p(X, " + std::to_string(i) + ") :- X = " +
                   atoms[pick(4)] + ".\n";
       keys.push_back(atoms[pick(4)]);
@@ -100,8 +100,7 @@ RandomProgram MakeProgram(uint32_t seed) {
 
 // All rendered solutions of `queries`, in derivation order, on one module
 // configuration. Compilation and solving must succeed.
-std::vector<std::string> RunConfig(const RandomProgram& rp, bool index,
-                                   int64_t jit_threshold) {
+std::vector<std::string> RunConfig(const RandomProgram& rp, bool index) {
   SymbolTable symbols;
   TermStore store(&symbols);
   Program prog(&symbols);
@@ -114,9 +113,7 @@ std::vector<std::string> RunConfig(const RandomProgram& rp, bool index,
   EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
   std::vector<std::string> out;
   if (!compiled.ok()) return out;
-  EmulatorOptions eopts;
-  eopts.jit_threshold = jit_threshold;
-  Emulator emulator(&store, &compiled.value(), eopts);
+  Emulator emulator(&store, &compiled.value());
   for (const std::string& goal : rp.queries) {
     Result<Word> g = ParseTermString(&store, prog.ops(), goal);
     EXPECT_TRUE(g.ok()) << g.status().ToString();
@@ -134,21 +131,11 @@ std::vector<std::string> RunConfig(const RandomProgram& rp, bool index,
 
 class WamIndexDifferentialTest : public ::testing::TestWithParam<uint32_t> {};
 
-TEST_P(WamIndexDifferentialTest, SwitchAndChainAgreeOnBothTiers) {
+TEST_P(WamIndexDifferentialTest, SwitchAndChainAgree) {
   RandomProgram rp = MakeProgram(GetParam());
-  std::vector<std::string> chain = RunConfig(rp, /*index=*/false,
-                                             /*jit_threshold=*/-1);
-  std::vector<std::string> indexed = RunConfig(rp, /*index=*/true,
-                                               /*jit_threshold=*/-1);
-  EXPECT_EQ(chain, indexed) << "emulator: indexing changed answers\n"
-                            << rp.text;
-  std::vector<std::string> chain_jit = RunConfig(rp, /*index=*/false,
-                                                 /*jit_threshold=*/0);
-  std::vector<std::string> indexed_jit = RunConfig(rp, /*index=*/true,
-                                                   /*jit_threshold=*/0);
-  EXPECT_EQ(chain, chain_jit) << "jit: chain tier diverged\n" << rp.text;
-  EXPECT_EQ(indexed, indexed_jit) << "jit: indexed tier diverged\n"
-                                  << rp.text;
+  std::vector<std::string> chain = RunConfig(rp, /*index=*/false);
+  std::vector<std::string> indexed = RunConfig(rp, /*index=*/true);
+  EXPECT_EQ(chain, indexed) << "indexing changed answers\n" << rp.text;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WamIndexDifferentialTest,

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <regex>
 #include <set>
 
 #include "db/loader.h"
@@ -387,6 +388,23 @@ TEST_F(WamTest, DisassembleRoundTripsEveryOpcode) {
         << "missing disassembly: " << c.text << "\n"
         << listing;
   }
+}
+
+TEST_F(WamTest, WamStatsBuiltinReportsEmulatorCounters) {
+  // wam_stats/2 compiled as a WAM builtin reads this emulator's counters as
+  // a name-Value list, once per solution of the goal before it. The key set
+  // is exactly the WamStats fields, nothing more.
+  Load("f(1). f(2).\n"
+       "report(S) :- f(_), wam_stats(all, S).\n");
+  CompileAll();
+  EXPECT_EQ(Count("report(S)"), 2u);
+  std::string first = First("report(S)");
+  EXPECT_EQ(std::regex_replace(first, std::regex("[0-9]+"), "N"),
+            "report([instructions - N,choice_points - N,mode_checks - N,"
+            "mode_fallbacks - N,switch_structure_hits - N,"
+            "switch_miss_linear - N])");
+  // The counters are live, not zero-filled.
+  EXPECT_EQ(first.find("instructions - 0,"), std::string::npos) << first;
 }
 
 TEST_F(WamTest, AgreesWithInterpreterOnJoins) {
