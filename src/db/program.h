@@ -372,10 +372,11 @@ class Program {
 
   // --- Incremental update maintenance ---------------------------------------
 
-  // Registers the table-maintenance listener (the tabling evaluator).
+  // The table-maintenance listener (the tabling evaluator), or nullptr.
   void set_update_listener(TableUpdateListener* listener) {
     update_listener_ = listener;
   }
+  TableUpdateListener* update_listener() const { return update_listener_; }
   // Reports a clause change on incremental predicate `functor`. AddClauseTerm
   // calls this itself; the retract family of builtins calls it after erasing.
   void NotifyIncrementalUpdate(FunctorId functor) {

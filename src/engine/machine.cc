@@ -26,6 +26,7 @@ Machine::Machine(TermStore* store, Program* program)
   f_tnot_ = f("tnot", 1);
   f_e_tnot_ = f("e_tnot", 1);
   f_tfindall_ = f("tfindall", 3);
+  f_findall_ = f("findall", 3);
   f_resolve_clauses_ = f("$resolve_clauses", 1);
 }
 
@@ -403,38 +404,37 @@ Machine::StepResult Machine::DispatchGoal(const GoalNode** goals) {
     *goals = node->next;
     return StepResult::kAdvance;
   }
-  if (functor == f_tnot_ || functor == f_e_tnot_) {
+  if (functor == f_tnot_ || functor == f_e_tnot_ || functor == f_tfindall_) {
+    // All three complete the callee's table first. Negation then tests it
+    // for an answer; tfindall(T, G, L) continues as findall(T, G, L), whose
+    // call of G is served from the completed table.
+    bool negation = functor != f_tfindall_;
     if (handler_ == nullptr) {
-      SetError(InvalidError("tnot/e_tnot require the tabling evaluator"));
+      SetError(InvalidError(
+          "tnot/e_tnot/tfindall require the tabling evaluator"));
       return StepResult::kError;
     }
-    switch (handler_->OnNegation(this, store_->Arg(goal, 0), node->next,
-                                 functor == f_e_tnot_)) {
-      case TabledCallHandler::CallOutcome::kFail:
-        return StepResult::kBacktrack;
-      case TabledCallHandler::CallOutcome::kContinue:
-        *goals = node->next;
-        return StepResult::kAdvance;
-      case TabledCallHandler::CallOutcome::kError:
-        return StepResult::kError;
-    }
-  }
-  if (functor == f_tfindall_) {
-    if (handler_ == nullptr) {
-      SetError(InvalidError("tfindall/3 requires the tabling evaluator"));
+    Word callee = store_->Deref(store_->Arg(goal, negation ? 0 : 1));
+    if (negation && !store_->IsGround(callee)) {
+      SetError(InstantiationError(
+          "tnot/e_tnot on a non-ground goal: the query flounders"));
       return StepResult::kError;
     }
-    switch (handler_->OnTFindall(this, store_->Arg(goal, 0),
-                                 store_->Arg(goal, 1), store_->Arg(goal, 2),
-                                 node->next)) {
-      case TabledCallHandler::CallOutcome::kFail:
-        return StepResult::kBacktrack;
-      case TabledCallHandler::CallOutcome::kContinue:
-        *goals = node->next;
-        return StepResult::kAdvance;
-      case TabledCallHandler::CallOutcome::kError:
-        return StepResult::kError;
+    Result<bool> answered =
+        handler_->CompleteTable(this, callee, functor == f_e_tnot_);
+    if (!answered.ok()) {
+      SetError(answered.status());
+      return StepResult::kError;
     }
+    if (!negation) {
+      Word findall = store_->MakeStruct(
+          f_findall_, {store_->Arg(goal, 0), callee, store_->Arg(goal, 2)});
+      *goals = Cons(findall, node->next, node->cut_depth);
+      return StepResult::kAdvance;
+    }
+    if (answered.value()) return StepResult::kBacktrack;
+    *goals = node->next;
+    return StepResult::kAdvance;
   }
   if (functor == f_tabled_answer_) {
     if (handler_ == nullptr) {

@@ -50,11 +50,12 @@ class TabledCallHandler {
   // Returns false to fail the branch (always, in SLG), after recording.
   virtual CallOutcome OnTabledAnswer(Machine* machine, int64_t subgoal_index,
                                      Word call_instance) = 0;
-  // tnot/1, e_tnot/1, tfindall/3.
-  virtual CallOutcome OnNegation(Machine* machine, Word goal,
-                                 const GoalNode* cont, bool existential) = 0;
-  virtual CallOutcome OnTFindall(Machine* machine, Word templ, Word goal,
-                                 Word result, const GoalNode* cont) = 0;
+  // tnot/1, e_tnot/1, tfindall/3: completes the table of `goal` and reports
+  // whether it has an answer; a type error unless `goal` calls a tabled
+  // predicate. With `existential` (e_tnot), evaluation may stop at the
+  // first answer.
+  virtual Result<bool> CompleteTable(Machine* machine, Word goal,
+                                     bool existential) = 0;
 
   // Table-space statistics snapshot for the table_stats builtin.
   struct TableStatsInfo {
@@ -333,7 +334,7 @@ class Machine {
   // Interned ids used by the dispatcher.
   FunctorId f_comma_, f_semicolon_, f_arrow_, f_naf_, f_cut_, f_tcut_,
       f_true_, f_fail_, f_false_, f_ite_commit_, f_tabled_answer_, f_tnot_,
-      f_e_tnot_, f_tfindall_, f_resolve_clauses_;
+      f_e_tnot_, f_tfindall_, f_findall_, f_resolve_clauses_;
 };
 
 }  // namespace xsb

@@ -8,26 +8,22 @@
 namespace xsb {
 namespace {
 
-// The Program has one update-listener slot; the control session owns it.
-// All sessions share one table space, so invalidation raised there is
-// visible to every worker anyway.
-Evaluator::Options SessionOptions(const QueryService::Options& options,
-                                  bool control) {
+Evaluator::Options SessionOptions(const QueryService::Options& options) {
   return Evaluator::Options{.early_completion = options.early_completion,
-                            .incremental = options.incremental,
-                            .register_update_listener = control};
+                            .incremental = options.incremental};
 }
 
 }  // namespace
 
 QueryService::QueryService(Options options)
     : db_(/*shared_tables=*/true),
-      control_(&db_, SessionOptions(options, /*control=*/true)) {
+      // Built first, so its evaluator takes the Program's update-listener
+      // slot (see Evaluator).
+      control_(&db_, SessionOptions(options)) {
   int n = options.num_workers < 1 ? 1 : options.num_workers;
   workers_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    workers_.push_back(std::make_unique<Worker>(
-        &db_, SessionOptions(options, /*control=*/false)));
+    workers_.push_back(std::make_unique<Worker>(&db_, SessionOptions(options)));
   }
   // Sessions first, then threads: a worker loop must never observe a
   // half-built pool.

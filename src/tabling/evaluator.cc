@@ -37,8 +37,7 @@ Evaluator::Evaluator(Machine* machine, TableSpace* tables, Options options)
     : machine_(machine),
       tables_(tables),
       early_completion_(options.early_completion),
-      incremental_(options.incremental),
-      listener_registered_(options.register_update_listener) {
+      incremental_(options.incremental) {
   SymbolTable* symbols = machine->store()->symbols();
   f_resolve_clauses_ = symbols->InternFunctor(
       symbols->InternAtom("$resolve_clauses"), 1);
@@ -46,13 +45,16 @@ Evaluator::Evaluator(Machine* machine, TableSpace* tables, Options options)
       symbols->InternFunctor(symbols->InternAtom("$tabled_answer"), 2);
   f_consumer_ = symbols->InternFunctor(symbols->InternAtom("$consumer"), 2);
   machine->set_tabled_handler(this);
-  if (listener_registered_) {
+  // The Program has one update-listener slot; the first evaluator built on
+  // it (a QueryService's control session) owns it. Every session of a
+  // shared table space sees the invalidation it raises anyway.
+  if (machine->program()->update_listener() == nullptr) {
     machine->program()->set_update_listener(this);
   }
 }
 
 Evaluator::~Evaluator() {
-  if (listener_registered_) {
+  if (machine_->program()->update_listener() == this) {
     machine_->program()->set_update_listener(nullptr);
   }
 }
@@ -228,15 +230,9 @@ void Evaluator::OnIncrementalAccess(FunctorId functor) {
 void Evaluator::OnIncrementalUpdate(FunctorId functor) {
   ++stats_.update_events;
   if (!incremental_) {
-    // Baseline policy: any update to incremental data invalidates the world.
-    // Deferred while a batch is live — Clear() would pull the tables out
-    // from under the running evaluation.
-    if (batches_.empty()) {
-      ShardLease lease(tables_, kAllEvalShards);
-      tables_->Clear();
-    } else {
-      pending_full_abolish_ = true;
-    }
+    // Baseline policy: any update to incremental data invalidates the world
+    // (deferred while a batch runs; see TableSpace::ClearOrDefer).
+    tables_->ClearOrDefer();
     return;
   }
   // Invalidation is shard-free: it takes the structure mutex and flips
@@ -247,22 +243,10 @@ void Evaluator::OnIncrementalUpdate(FunctorId functor) {
 
 void Evaluator::OnIncrementalDeclaration(FunctorId /*functor*/) {
   if (tables_->num_subgoals() == 0) return;
-  if (!incremental_) {
-    if (batches_.empty()) {
-      ShardLease lease(tables_, kAllEvalShards);
-      tables_->Clear();
-    } else {
-      pending_full_abolish_ = true;
-    }
-    return;
-  }
-  tables_->InvalidateAll();
-}
-
-void Evaluator::ApplyPendingAbolish() {
-  if (pending_full_abolish_ && batches_.empty()) {
-    tables_->Clear();
-    pending_full_abolish_ = false;
+  if (incremental_) {
+    tables_->InvalidateAll();
+  } else {
+    tables_->ClearOrDefer();
   }
 }
 
@@ -278,6 +262,8 @@ Word Evaluator::BuildConsumerTerm(Word goal, const GoalNode* cont) {
 
 bool Evaluator::TryServeWarm(Machine* machine, Word goal,
                              const GoalNode* cont) {
+  // A pending clear has retired every table, even before it is applied.
+  if (tables_->clear_pending()) return false;
   TermStore* store = machine->store();
   SubgoalId id = tables_->Lookup(*store, goal);  // lock-free; miss advisory
   if (id == kNoSubgoal) return false;
@@ -310,7 +296,7 @@ TabledCallHandler::CallOutcome Evaluator::OnTabledCall(
   if (batches_.empty()) {
     // Top-level call. The warm path — table already complete and valid —
     // is fully lock-free; it is the path concurrent serving scales on.
-    if (!pending_full_abolish_ && TryServeWarm(machine, goal, cont)) {
+    if (TryServeWarm(machine, goal, cont)) {
       return CallOutcome::kContinue;
     }
     if (tables_->shared()) {
@@ -329,46 +315,18 @@ TabledCallHandler::CallOutcome Evaluator::OnTabledCall(
         }
       }
     }
-    // Cold path: evaluate to completion (also when an update left the table
-    // invalid) while owning the call's shard reach mask, then enumerate
-    // answers. A contended mid-batch escalation unwinds back here and
-    // restarts under the full mask (coarse fallback).
-    for (bool coarse = false;;) {
-      ShardMask mask = coarse || pending_full_abolish_
-                           ? kAllEvalShards
-                           : ReachMask(*functor, goal);
-      tables_->AcquireShards(mask);
-      owned_shards_ = mask;
-      ApplyPendingAbolish();
-      SubgoalId id = tables_->Lookup(*store, goal);
-      Status st = Status::Ok();
-      if (id == kNoSubgoal || tables_->NeedsReevaluation(id)) {
-        bool has_answer = false;
-        st = EvaluateToCompletion(goal, *functor, /*existential=*/false,
-                                  &has_answer, &id);
-      }
-      if (st.ok() && owned_shards_ != kAllEvalShards) {
-        ++tables_->stats().parallel_batches;
-      }
-      // Capture the published table pointer *before* releasing the shards:
-      // once they are gone another session may dispose the subgoal and swap
-      // in a fresh empty table. The captured snapshot stays enumerable —
-      // epoch reclamation keeps a concurrently retired table readable.
-      AnswerTable* table = st.ok() ? tables_->subgoal(id).table() : nullptr;
-      tables_->ReleaseShards(owned_shards_);
-      owned_shards_ = 0;
-      if (st.ok()) {
-        machine->PushAnswerChoices(goal, table, cont);
-        return CallOutcome::kContinue;
-      }
-      if (st.code() == ErrorCode::kRetryEvaluation && !coarse) {
-        coarse = true;
-        ++tables_->stats().coarse_fallbacks;
-        continue;
-      }
+    // Cold path (also when an update left the table invalid): complete the
+    // table, then enumerate its answers.
+    const AnswerTable* table = nullptr;
+    bool has_answer = false;
+    Status st = Complete(goal, *functor, /*existential=*/false, &table,
+                         &has_answer);
+    if (!st.ok()) {
       machine->SetError(st);
       return CallOutcome::kError;
     }
+    machine->PushAnswerChoices(goal, table, cont);
+    return CallOutcome::kContinue;
   }
 
   // In-batch call: widen this batch's shard ownership to cover the callee
@@ -467,7 +425,6 @@ TabledCallHandler::CallOutcome Evaluator::OnTabledAnswer(Machine* machine,
 }
 
 Status Evaluator::RunGeneratorEpisode(SubgoalId id) {
-  ++stats_.generator_episodes;
   TermStore* store = machine_->store();
   const Subgoal& sg = tables_->subgoal(id);
   if (sg.state_acquire() != SubgoalState::kIncomplete) return Status::Ok();
@@ -526,7 +483,6 @@ Status Evaluator::ResumeConsumer(size_t batch_index, size_t consumer_index) {
   auto deliver = [this, batch_index]() {
     const Batch& batch = batches_[batch_index];
     if (batch.aborted || !batch.generator_queue.empty()) return false;
-    ++stats_.resumptions;
     ++tables_->stats().consumer_resumptions;
     return true;
   };
@@ -622,218 +578,98 @@ Status Evaluator::EvaluateToCompletion(Word goal, FunctorId functor,
     tables_->NotifyCompletion();
   }
   batches_.pop_back();
-  if (has_answer != nullptr) *has_answer = answered;
-  if (root_out != nullptr) *root_out = root;
+  *has_answer = answered;
+  *root_out = root;
   return status;
 }
 
-TabledCallHandler::CallOutcome Evaluator::OnNegation(Machine* machine,
-                                                     Word goal,
-                                                     const GoalNode* /*cont*/,
-                                                     bool existential) {
-  TermStore* store = machine->store();
-  goal = store->Deref(goal);
-  std::optional<FunctorId> functor = Program::CallableFunctor(*store, goal);
-  if (!functor.has_value()) {
-    machine->SetError(TypeError("tnot/e_tnot argument is not callable"));
-    return CallOutcome::kError;
-  }
-  Predicate* pred = machine->program()->Lookup(*functor);
-  if (pred == nullptr || !pred->tabled()) {
-    machine->SetError(
-        TypeError("tnot/e_tnot require a tabled predicate; use \\+ for "
-                  "non-tabled goals"));
-    return CallOutcome::kError;
-  }
-  if (!store->IsGround(goal)) {
-    machine->SetError(InstantiationError(
-        "tnot/e_tnot on a non-ground goal: the query flounders"));
-    return CallOutcome::kError;
-  }
-
-  if (batches_.empty()) {
-    // Top-level negation: acquire the negated predicate's reach mask like
-    // any cold call (same coarse-fallback loop); owning its shard means an
-    // incomplete variant of it cannot exist here.
-    for (bool coarse = false;;) {
-      ShardMask mask =
-          coarse ? kAllEvalShards : ReachMask(*functor, goal);
-      tables_->AcquireShards(mask);
-      owned_shards_ = mask;
-      SubgoalId id = tables_->Lookup(*store, goal);
-      if (id != kNoSubgoal && !tables_->NeedsReevaluation(id)) {
-        bool empty = tables_->subgoal(id).table()->empty();
-        tables_->ReleaseShards(owned_shards_);
-        owned_shards_ = 0;
-        return empty ? CallOutcome::kContinue : CallOutcome::kFail;
-      }
-      bool has_answer = false;
-      Status status = EvaluateToCompletion(goal, *functor, existential,
-                                           &has_answer, &id);
-      tables_->ReleaseShards(owned_shards_);
-      owned_shards_ = 0;
-      if (status.ok()) {
-        return has_answer ? CallOutcome::kFail : CallOutcome::kContinue;
-      }
-      if (status.code() == ErrorCode::kRetryEvaluation && !coarse) {
-        coarse = true;
-        ++tables_->stats().coarse_fallbacks;
-        continue;
-      }
-      machine->SetError(status);
-      return CallOutcome::kError;
-    }
-  }
-
-  // In-batch negation: once this batch owns the negated predicate's shards,
-  // an incomplete table seen here can only belong to this thread's own
-  // enclosing batch — a genuine stratification violation, never another
-  // session's in-flight work.
-  Status own = EnsureOwnedForCall(*functor);
-  if (!own.ok()) {
-    machine->SetError(own);
-    return CallOutcome::kError;
-  }
-  SubgoalId id = tables_->Lookup(*store, goal);
-  SubgoalId caller = CurrentSubgoal();
-  // An invalid table falls through to re-evaluation below.
-  if (id != kNoSubgoal && !tables_->NeedsReevaluation(id)) {
-    const Subgoal& sg = tables_->subgoal(id);
-    if (sg.state_acquire() == SubgoalState::kComplete) {
-      if (caller != kNoSubgoal) tables_->AddDependent(id, caller);
-      return sg.table()->empty() ? CallOutcome::kContinue
-                                 : CallOutcome::kFail;
-    }
-    machine->SetError(StratificationFailure(
-        machine, *functor,
-        "tnot over an incomplete table: the program is not modularly "
-        "stratified"));
-    return CallOutcome::kError;
-  }
-
-  bool has_answer = false;
-  Status status = EvaluateToCompletion(goal, *functor, existential,
-                                       &has_answer, &id);
-  if (!status.ok()) {
-    machine->SetError(status);
-    return CallOutcome::kError;
-  }
-  // The negation's truth value depends on the negated table (which is
-  // disposed after an existential abort; the edge is skipped there).
-  if (caller != kNoSubgoal && id != kNoSubgoal &&
-      tables_->subgoal(id).state_acquire() == SubgoalState::kComplete) {
-    tables_->AddDependent(id, caller);
-  }
-  return has_answer ? CallOutcome::kFail : CallOutcome::kContinue;
-}
-
-TabledCallHandler::CallOutcome Evaluator::OnTFindall(Machine* machine,
-                                                     Word templ, Word goal,
-                                                     Word result,
-                                                     const GoalNode* /*cont*/) {
-  TermStore* store = machine->store();
-  goal = store->Deref(goal);
-  std::optional<FunctorId> functor = Program::CallableFunctor(*store, goal);
-  if (!functor.has_value()) {
-    machine->SetError(TypeError("tfindall/3: goal is not callable"));
-    return CallOutcome::kError;
-  }
-  Predicate* pred = machine->program()->Lookup(*functor);
-  if (pred == nullptr || !pred->tabled()) {
-    machine->SetError(
-        TypeError("tfindall/3 requires a tabled goal; use findall/3"));
-    return CallOutcome::kError;
-  }
-
-  SubgoalId id = kNoSubgoal;
-  const AnswerTable* projected = nullptr;
-  if (batches_.empty()) {
-    // Top-level tfindall: complete the goal's table like a cold call (same
-    // shard acquisition and coarse-fallback loop), then project below. The
-    // table pointer is captured before the shards go (see OnTabledCall).
-    for (bool coarse = false;;) {
-      ShardMask mask =
-          coarse ? kAllEvalShards : ReachMask(*functor, goal);
-      tables_->AcquireShards(mask);
-      owned_shards_ = mask;
-      id = tables_->Lookup(*store, goal);
-      Status status = Status::Ok();
-      if (id == kNoSubgoal || tables_->NeedsReevaluation(id)) {
-        status = EvaluateToCompletion(goal, *functor,
-                                      /*existential=*/false, nullptr, &id);
-      }
-      if (status.ok()) projected = tables_->subgoal(id).table();
-      tables_->ReleaseShards(owned_shards_);
-      owned_shards_ = 0;
-      if (status.ok()) break;
-      if (status.code() == ErrorCode::kRetryEvaluation && !coarse) {
-        coarse = true;
-        ++tables_->stats().coarse_fallbacks;
-        continue;
-      }
-      machine->SetError(status);
-      return CallOutcome::kError;
-    }
-  } else {
-    Status own = EnsureOwnedForCall(*functor);
-    if (!own.ok()) {
-      machine->SetError(own);
-      return CallOutcome::kError;
-    }
-    id = tables_->Lookup(*store, goal);
+Status Evaluator::Complete(Word goal, FunctorId functor, bool existential,
+                           const AnswerTable** table, bool* has_answer) {
+  TermStore* store = machine_->store();
+  if (!batches_.empty()) {
+    // In-batch: once this batch owns the callee's shards, an incomplete
+    // table seen here can only belong to this thread's own (enclosing)
+    // batch — a genuine stratification violation, never another session's
+    // in-flight work. The paper's tfindall would suspend until completion;
+    // under local scheduling that would deadlock, so it is reported too.
+    Status st = EnsureOwnedForCall(functor);
+    if (!st.ok()) return st;
+    SubgoalId id = tables_->Lookup(*store, goal);
     if (id == kNoSubgoal || tables_->NeedsReevaluation(id)) {
-      Status status = EvaluateToCompletion(goal, *functor,
-                                           /*existential=*/false, nullptr,
-                                           &id);
-      if (!status.ok()) {
-        machine->SetError(status);
-        return CallOutcome::kError;
-      }
+      st = EvaluateToCompletion(goal, functor, existential, has_answer, &id);
+      if (!st.ok()) return st;
     } else if (tables_->subgoal(id).state_acquire() !=
                SubgoalState::kComplete) {
-      // The paper's tfindall *suspends* until completion; under local
-      // scheduling a same-SCC tfindall would deadlock, which we report.
-      machine->SetError(StratificationFailure(
-          machine, *functor,
-          "tfindall/3 on a table of the same recursive component"));
-      return CallOutcome::kError;
+      return StratificationFailure(
+          machine_, functor,
+          "tnot/tfindall over an incomplete table: the program is not "
+          "modularly stratified");
+    } else {
+      *has_answer = !tables_->subgoal(id).table()->empty();
     }
+    // The caller's result depends on the completed table (disposed after an
+    // existential abort; the edge is skipped there).
+    const Subgoal& sg = tables_->subgoal(id);
+    SubgoalId caller = CurrentSubgoal();
+    if (caller != kNoSubgoal && sg.state_acquire() == SubgoalState::kComplete) {
+      tables_->AddDependent(id, caller);
+    }
+    *table = sg.table();
+    return Status::Ok();
   }
 
-  SubgoalId caller = CurrentSubgoal();
-  if (caller != kNoSubgoal) tables_->AddDependent(id, caller);
-
-  // Project each answer through (goal, templ), which share variables. The
-  // per-instance flatten goes through a reused scratch, so the stored copy
-  // is exact-size and the scratch stops allocating once warm.
-  std::vector<FlatTerm> instances;
-  const AnswerTable& table =
-      projected != nullptr ? *projected : *tables_->subgoal(id).table();
-  FlatTerm answer;
-  FlatTerm instance_scratch;
-  for (size_t i = 0; i < table.size(); ++i) {
-    if (!table.live(i)) continue;  // answer retired by lattice subsumption
-    table.ReadAnswer(i, &answer);
-    size_t trail = store->TrailMark();
-    size_t heap = store->HeapMark();
-    Word answer_term = Unflatten(store, answer);
-    if (store->Unify(goal, answer_term)) {
-      if (FlattenInto(*store, templ, &instance_scratch)) {
-        ++machine->stats().findall_flatten_reuses;
+  // Top level: evaluate while owning the call's shard reach mask. A
+  // contended mid-batch escalation unwinds back here and restarts under the
+  // full mask (coarse fallback).
+  for (bool coarse = false;;) {
+    owned_shards_ = coarse || tables_->clear_pending()
+                        ? kAllEvalShards
+                        : ReachMask(functor, goal);
+    tables_->AcquireShards(owned_shards_);
+    if (owned_shards_ == kAllEvalShards && tables_->clear_pending()) {
+      tables_->Clear();
+    }
+    SubgoalId id = tables_->Lookup(*store, goal);
+    Status st = Status::Ok();
+    if (id == kNoSubgoal || tables_->NeedsReevaluation(id)) {
+      st = EvaluateToCompletion(goal, functor, existential, has_answer, &id);
+    } else {
+      *has_answer = !tables_->subgoal(id).table()->empty();
+    }
+    if (st.ok()) {
+      if (owned_shards_ != kAllEvalShards) {
+        ++tables_->stats().parallel_batches;
       }
-      instances.push_back(instance_scratch);
+      // Capture the published table pointer *before* releasing the shards:
+      // once they are gone another session may dispose the subgoal and
+      // swap in a fresh empty table. The captured snapshot stays readable —
+      // epoch reclamation keeps a concurrently retired table alive.
+      *table = tables_->subgoal(id).table();
     }
-    store->UndoTrail(trail);
-    store->TruncateHeap(heap);
+    tables_->ReleaseShards(owned_shards_);
+    owned_shards_ = 0;
+    if (st.code() != ErrorCode::kRetryEvaluation || coarse) return st;
+    coarse = true;
+    ++tables_->stats().coarse_fallbacks;
   }
-  std::vector<Word> items;
-  items.reserve(instances.size());
-  for (const FlatTerm& flat : instances) {
-    items.push_back(Unflatten(store, flat));
+}
+
+Result<bool> Evaluator::CompleteTable(Machine* machine, Word goal,
+                                      bool existential) {
+  std::optional<FunctorId> functor =
+      Program::CallableFunctor(*machine->store(), goal);
+  const Predicate* pred =
+      functor.has_value() ? machine->program()->Lookup(*functor) : nullptr;
+  if (pred == nullptr || !pred->tabled()) {
+    return TypeError(
+        "tnot/e_tnot/tfindall need a call to a tabled predicate; use \\+ "
+        "or findall/3 for other goals");
   }
-  Word list = store->MakeList(items, AtomCell(store->symbols()->nil()));
-  return store->Unify(result, list) ? CallOutcome::kContinue
-                                    : CallOutcome::kFail;
+  const AnswerTable* table = nullptr;
+  bool has_answer = false;
+  Status st = Complete(goal, *functor, existential, &table, &has_answer);
+  if (!st.ok()) return st;
+  return has_answer;
 }
 
 bool Evaluator::AbolishTableCall(Machine* machine, Word goal) {
@@ -874,7 +710,9 @@ TabledCallHandler::TableState Evaluator::GetTableState(Machine* machine,
   // of one instant, which is all table_state/2 ever promised.
   TermStore* store = machine->store();
   SubgoalId id = tables_->Lookup(*store, goal);
-  if (id == kNoSubgoal) return TableState::kNoTable;
+  if (id == kNoSubgoal || tables_->clear_pending()) {
+    return TableState::kNoTable;
+  }
   const Subgoal& sg = tables_->subgoal(id);
   switch (sg.state_acquire()) {
     case SubgoalState::kIncomplete:

@@ -20,26 +20,34 @@ namespace xsb {
 // continuation) pair into table space — the copying realization of the
 // SLG-WAM's frozen stacks.
 //
-// Negation:
-//   * tnot/1  — SLG negation: completes the subgoal in a nested batch, then
-//     succeeds iff the (necessarily ground) call has no answer. A nested
-//     batch that touches an incomplete table of an enclosing batch is a
-//     modular-stratification violation and is reported as an error.
+// Completion: a cold top-level tabled call, tnot/1, e_tnot/1 and
+// tfindall/3 all first complete the callee's table, through one entry
+// (Complete), and then read it:
+//   * a tabled call enumerates the completed table's answers;
+//   * tnot/1  — SLG negation — succeeds iff the (necessarily ground) call
+//     has no answer. Inside a batch the completion runs as a nested batch;
+//     one that meets an incomplete table of an enclosing batch is a
+//     modular-stratification violation and is reported as an error;
 //   * e_tnot/1 — existential negation: the nested batch stops at the first
 //     answer and *disposes* every table it created (the tcut mechanism),
-//     reproducing the paper's Table 2 behavior.
+//     reproducing the paper's Table 2 behavior;
+//   * tfindall/3 is findall/3 over the completed table.
 //
 // Ground calls complete early: as soon as a ground subgoal gets its answer,
 // its generator is cut off (XSB's early completion), which is what makes
 // e_tnot explore sqrt(2)^n rather than 2^n nodes of the win/1 tree.
 //
-// Incremental maintenance: the evaluator registers as the program's update
-// listener. While a table is being computed it records which incremental
-// dynamic predicates its clauses read and which subsidiary tables it
-// consumed (refining the analyzer's static seeds). An assert/retract on an
+// Incremental maintenance: the first evaluator built on a Program takes its
+// (single) update-listener slot. While a table is being computed, the
+// evaluator records which incremental dynamic predicates its clauses read
+// and which subsidiary tables it consumed (refining the analyzer's static
+// seeds). An assert/retract on an
 // incremental predicate then marks exactly the completed tables that
 // transitively depend on it invalid; an invalid table is re-evaluated
-// lazily on its next call, reusing every still-valid subsidiary table.
+// lazily on its next call, reusing every still-valid subsidiary table. In
+// baseline mode (incremental = false) such an update instead clears the
+// whole table space, deferred by TableSpace::ClearOrDefer while a batch
+// runs and applied by the next top-level completion.
 //
 // The TableSpace belongs to the caller (a Database, or a test fixture) and
 // may be shared with other sessions (QueryService workers). The *warm
@@ -75,10 +83,6 @@ class Evaluator : public TabledCallHandler, public TableUpdateListener {
     // default). When false, such an update abolishes the whole table space
     // — the from-scratch baseline the update bench compares against.
     bool incremental = true;
-    // Register as the Program's (single) update listener. QueryService
-    // worker sessions set this false: the service's control session owns
-    // the listener slot, and all sessions share one table space anyway.
-    bool register_update_listener = true;
   };
 
   // Evaluates against `tables`, which must outlive the evaluator.
@@ -95,8 +99,6 @@ class Evaluator : public TabledCallHandler, public TableUpdateListener {
 
   struct EvalStats {
     uint64_t batches = 0;
-    uint64_t generator_episodes = 0;
-    uint64_t resumptions = 0;
     uint64_t early_completions = 0;
     uint64_t existential_aborts = 0;
     uint64_t update_events = 0;  // incremental-predicate change reports
@@ -108,10 +110,8 @@ class Evaluator : public TabledCallHandler, public TableUpdateListener {
                            const GoalNode* cont) override;
   CallOutcome OnTabledAnswer(Machine* machine, int64_t subgoal_index,
                              Word call_instance) override;
-  CallOutcome OnNegation(Machine* machine, Word goal, const GoalNode* cont,
-                         bool existential) override;
-  CallOutcome OnTFindall(Machine* machine, Word templ, Word goal, Word result,
-                         const GoalNode* cont) override;
+  Result<bool> CompleteTable(Machine* machine, Word goal,
+                             bool existential) override;
   TableStatsInfo GetTableStats(Machine* machine, Word goal) override;
   void OnIncrementalAccess(FunctorId functor) override;
   bool AbolishTableCall(Machine* machine, Word goal) override;
@@ -133,6 +133,18 @@ class Evaluator : public TabledCallHandler, public TableUpdateListener {
     SubgoalId stop_on_answer = kNoSubgoal;
     bool aborted = false;
   };
+
+  // The one completion entry: completes the table of `goal`, a call to
+  // tabled `functor`, and returns its published answer table in *table and
+  // whether it has an answer in *has_answer (with `existential`, evaluation
+  // stops at the first answer and disposes the batch's tables). At top
+  // level it acquires the call's shard reach mask — every shard when a
+  // clear is pending, which it then applies — and restarts under the full
+  // mask on kRetryEvaluation (the coarse fallback). Inside a batch it widens
+  // ownership, reports an incomplete table as a stratification error, runs
+  // a nested batch, and records the caller's dependency on the table.
+  Status Complete(Word goal, FunctorId functor, bool existential,
+                  const AnswerTable** table, bool* has_answer);
 
   // Runs `root` (a fresh subgoal for `goal`) to completion in a new batch.
   // With `existential`, stops at the root's first answer and disposes the
@@ -183,9 +195,6 @@ class Evaluator : public TabledCallHandler, public TableUpdateListener {
   std::unordered_map<SubgoalId, ModeExpectation> mode_expectations_;
 #endif
 
-  // Applies a deferred full abolish (baseline mode) once no batch is live.
-  void ApplyPendingAbolish();
-
   // --- Shard ownership (see the class comment) -------------------------------
 
   // The shards to acquire before evaluating `functor` cold: its published
@@ -215,7 +224,6 @@ class Evaluator : public TabledCallHandler, public TableUpdateListener {
   TableSpace* tables_;
   bool early_completion_;
   bool incremental_;
-  bool listener_registered_;
   std::vector<Batch> batches_;
   // Evaluation shards this session currently holds. Nonzero exactly while a
   // top-level cold evaluation (and its nested batches) runs; the session is
@@ -223,7 +231,6 @@ class Evaluator : public TabledCallHandler, public TableUpdateListener {
   ShardMask owned_shards_ = 0;
   // Subgoals whose evaluation frames are active, innermost last.
   std::vector<SubgoalId> eval_stack_;
-  bool pending_full_abolish_ = false;
   EvalStats stats_;
 
   FunctorId f_resolve_clauses_, f_tabled_answer_, f_consumer_;

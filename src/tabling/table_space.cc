@@ -326,6 +326,8 @@ void TableSpace::Dispose(SubgoalId id) {
 }
 
 void TableSpace::Clear() {
+  // Reset first, so a clear deferred while this one runs is kept.
+  clear_pending_.store(false, std::memory_order_release);
   size_t n = subgoals_.size();
   if (shared_) {
     // Concurrent readers may hold subgoal ids and trie indices: keep the
@@ -347,6 +349,15 @@ void TableSpace::Clear() {
   call_trie_.Clear();
   subgoals_.Clear();
   pred_readers_.clear();
+}
+
+void TableSpace::ClearOrDefer() {
+  if (!TryAcquireShards(kAllEvalShards)) {
+    clear_pending_.store(true, std::memory_order_release);
+    return;
+  }
+  Clear();
+  ReleaseShards(kAllEvalShards);
 }
 
 void TableSpace::AddDependent(SubgoalId callee, SubgoalId caller) {

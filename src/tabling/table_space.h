@@ -394,8 +394,18 @@ class TableSpace {
   // retired (see Dispose) until ReleaseRetiredAnswers(). In shared mode the
   // call trie and subgoal arena are kept (concurrent readers may hold
   // indices into them) and every live subgoal is disposed instead;
-  // non-shared mode truly clears. Caller owns all shards.
+  // non-shared mode truly clears. Caller owns all shards. Also drops a
+  // pending ClearOrDefer.
   void Clear();
+  // Clear() for an update that may arrive mid-evaluation (the baseline's
+  // abolish-on-update): clears now when every shard is free, otherwise
+  // marks the space clear-pending — some batch, possibly the caller's own,
+  // is running. A pending space serves no table (warm path, table_state/2)
+  // until the next top-level evaluation holding every shard applies it.
+  void ClearOrDefer();
+  bool clear_pending() const {
+    return clear_pending_.load(std::memory_order_acquire);
+  }
 
   // --- Incremental dependency graph ----------------------------------------
 
@@ -553,6 +563,7 @@ class TableSpace {
   static std::atomic<SchedulePerturbFn> perturb_hook_;
 
   std::atomic<uint64_t> next_batch_id_{1};
+  std::atomic<bool> clear_pending_{false};
   TableStats stats_;
 };
 

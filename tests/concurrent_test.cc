@@ -351,6 +351,49 @@ TEST(QueryServiceTest, AbolishAllWakesParkedCallersOnce) {
   EXPECT_EQ(SortedAnswers(service.Query("path(3, X)")).size(), 9u);
 }
 
+// --- Baseline updates raised inside a worker's batch -----------------------
+
+TEST(ServiceBaselineUpdate, UpdateInsideATabledGoalReturnsAndReachesWorkers) {
+  // go's assert fires inside a worker's batch, which holds shards. The
+  // baseline's abolish must be deferred rather than wait for those shards
+  // (the worker would wait on itself), and be applied before any worker
+  // reads a table again. A regression hangs: ctest's TIMEOUT catches it.
+  QueryService service({.num_workers = 2, .incremental = false});
+  ASSERT_TRUE(service
+                  .Consult(":- table go/0.\n"
+                           ":- table t/0.\n"
+                           ":- table s/1.\n"
+                           ":- incremental(e/1).\n"
+                           "e(0).\n"
+                           "go :- assert(e(1)).\n"
+                           "t :- e(1).\n"
+                           "s(X) :- e(X).\n")
+                  .ok());
+  std::vector<std::future<Result<std::vector<Answer>>>> before;
+  for (int i = 0; i < 4; ++i) before.push_back(service.Submit("tnot(t)"));
+  for (auto& future : before) {
+    EXPECT_EQ(SortedAnswers(future.get()).size(), 1u);
+  }
+
+  EXPECT_EQ(SortedAnswers(service.Query("go")).size(), 1u);
+
+  // Several at once, so both workers serve some.
+  std::vector<std::future<Result<std::vector<Answer>>>> negations;
+  std::vector<std::future<Result<std::vector<Answer>>>> collections;
+  for (int i = 0; i < 4; ++i) {
+    negations.push_back(service.Submit("tnot(t)"));
+    collections.push_back(service.Submit("tfindall(X, s(X), L)"));
+  }
+  for (auto& future : negations) {
+    EXPECT_EQ(SortedAnswers(future.get()).size(), 0u);
+  }
+  for (auto& future : collections) {
+    Result<std::vector<Answer>> answers = future.get();
+    ASSERT_TRUE(answers.ok() && answers.value().size() == 1u);
+    EXPECT_EQ(answers.value()[0]["L"], "[0,1]");
+  }
+}
+
 // --- Multi-thread vs single-thread differential ----------------------------
 
 class ConcurrentDifferential : public ::testing::TestWithParam<int> {};

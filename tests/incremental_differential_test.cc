@@ -8,7 +8,10 @@
 //   5. a persistent parallel QueryService (4 workers) mirroring every
 //      update, with the step's queries submitted concurrently so cold
 //      re-evaluation after invalidation races across the worker pool —
-// and all five must agree. A divergence in (1) alone pins an invalidation
+// and all five must agree. Each step also probes the table-completion
+// entry on (1), (2) and (5): a ground tnot over the query predicate and a
+// tfindall over the query, checked against (3).
+// A divergence in (1) alone pins an invalidation
 // bug (a table that should have been marked stale survived, or a
 // re-evaluation picked up stale subsidiary answers); the fresh-engine and
 // bottom-up oracles share no update machinery at all; (5) additionally
@@ -143,6 +146,36 @@ AnswerSet BottomUpAnswers(const Scenario& s, const std::set<Fact>& facts) {
   return result;
 }
 
+// Parses a rendered list of X-Y pairs, "[1 - 2,2 - 3]". A repeated pair
+// adds a ("duplicate", pair) marker, so it cannot compare equal to a set.
+AnswerSet ParsePairList(const std::string& list) {
+  AnswerSet result;
+  std::string items = list.substr(1, list.size() - 2);  // strip [ ]
+  size_t start = 0;
+  while (start < items.size()) {
+    size_t end = items.find(',', start);
+    if (end == std::string::npos) end = items.size();
+    std::string item = items.substr(start, end - start);
+    size_t dash = item.find('-');
+    std::string x = item.substr(0, item.find_last_not_of(' ', dash - 1) + 1);
+    std::string y = item.substr(item.find_first_not_of(' ', dash + 1));
+    if (!result.insert({x, y}).second) result.insert({"duplicate", item});
+    start = end + 1;
+  }
+  return result;
+}
+
+// The pairs of tfindall(X-Y, Query, L)'s one answer.
+AnswerSet CollectList(Engine& engine, const std::string& goal) {
+  std::string list = "[]";
+  Status status = engine.ForEach(goal, [&list](const Answer& a) {
+    list = a["L"];
+    return false;
+  });
+  EXPECT_TRUE(status.ok()) << status.message();
+  return ParsePairList(list);
+}
+
 AnswerSet CollectService(QueryService& service, const std::string& query) {
   AnswerSet result;
   Result<std::vector<Answer>> answers = service.Query(query);
@@ -200,6 +233,10 @@ TEST_P(IncrementalUpdateFuzz, AgreesWithFromScratchAtEveryStep) {
   ASSERT_TRUE(service
                   .Consult(s.directives + s.rules + FactText(s.base, facts))
                   .ok());
+
+  // Picks the tnot probe's pair; separate from `rng`, so the update
+  // sequence of every seed is unchanged by the probes.
+  std::mt19937 probe_rng(seed);
 
   std::string ops = "consult";  // repro line, grows one entry per step
   const int steps = 10 + static_cast<int>(rng() % 6);
@@ -272,6 +309,29 @@ TEST_P(IncrementalUpdateFuzz, AgreesWithFromScratchAtEveryStep) {
                                 << "\nops: " << ops;
     EXPECT_EQ(parallel, fresh) << "seed " << seed << " step " << step
                                << "\nops: " << ops;
+
+    // Completion-entry probes against the fresh engine's answers.
+    std::pair<std::string, std::string> pair = {
+        std::to_string(1 + probe_rng() % num_nodes),
+        std::to_string(1 + probe_rng() % num_nodes)};
+    const std::string negation = "tnot(" + s.query_pred + "(" + pair.first +
+                                 ", " + pair.second + "))";
+    const std::string collection = "tfindall(X-Y, " + s.query + ", L)";
+    const bool absent = fresh.count(pair) == 0;
+    Result<std::vector<Answer>> service_negation = service.Query(negation);
+    Result<std::vector<Answer>> service_collection = service.Query(collection);
+    ASSERT_TRUE(service_negation.ok() && service_collection.ok());
+    ASSERT_EQ(service_collection.value().size(), 1u);
+    const std::string where = "seed " + std::to_string(seed) + " step " +
+                              std::to_string(step) + " " + negation +
+                              "\nops: " + ops;
+    EXPECT_EQ(incremental.Holds(negation).value(), absent) << where;
+    EXPECT_EQ(baseline.Holds(negation).value(), absent) << where;
+    EXPECT_EQ(service_negation.value().empty(), !absent) << where;
+    EXPECT_EQ(CollectList(incremental, collection), fresh) << where;
+    EXPECT_EQ(CollectList(baseline, collection), fresh) << where;
+    EXPECT_EQ(ParsePairList(service_collection.value()[0]["L"]), fresh)
+        << where;
     if (HasFailure()) break;  // one repro line is enough
   }
 }

@@ -288,6 +288,36 @@ TEST_F(TablingTest, TFindallCollectsCompletedAnswers) {
   EXPECT_TRUE(Holds("tfindall(Y, path(1,Y), L), length(L, 3)"));
 }
 
+TEST_F(TablingTest, TFindallOnNonTabledGoalIsReported) {
+  Load("q(1).\n");
+  Status s = SolveStatus("tfindall(X, q(X), L)");
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), ErrorCode::kType);
+}
+
+TEST_F(TablingTest, TFindallInsideItsOwnComponentIsReported) {
+  // q reads p's table through tfindall while p, in q's own recursive
+  // component, is still incomplete. Under local scheduling that is a
+  // stratification error, not a suspension.
+  Load(":- table p/1.\n"
+       ":- table q/1.\n"
+       "p(X) :- q(X).\n"
+       "q(1).\n"
+       "q(N) :- tfindall(X, p(X), L), length(L, N).\n");
+  Status s = SolveStatus("p(X)");
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), ErrorCode::kStratification);
+}
+
+TEST_F(TablingTest, TFindallOverMinTableReturnsLiveAnswersInInsertionOrder) {
+  // a-2 and b-1 beat (and retire) a-5 and b-3; a replacement is stored
+  // as a new answer, after the ones already there.
+  Load(":- table dist(_, min).\n"
+       "dist(a, 5). dist(b, 3). dist(a, 2). dist(c, 4). dist(b, 1).\n");
+  EXPECT_EQ(Answers("L", "tfindall(X-D, dist(X, D), L)"),
+            std::vector<std::string>{"[-(a,2),-(c,4),-(b,1)]"});
+}
+
 TEST_F(TablingTest, EarlyCompletionOnGroundCalls) {
   Machine machine2(&store_, &program_);
   TableSpace tables2(&symbols_);
@@ -470,15 +500,20 @@ const char kChainProgram[] =
     "path(X,Y) :- path(X,Z), edge(Z,Y).\n"
     "edge(1,2). edge(2,3). edge(3,4). edge(4,5).\n";
 
+// The binding of `var` in the first answer of `goal` ("" when it fails).
+std::string FirstBinding(Engine& engine, const std::string& goal,
+                         const std::string& var) {
+  std::string value;
+  Status status = engine.ForEach(goal, [&](const Answer& a) {
+    value = a[var];
+    return false;
+  });
+  EXPECT_TRUE(status.ok()) << goal << ": " << status.message();
+  return value;
+}
+
 std::string StateOf(Engine& engine, const std::string& goal) {
-  std::string state;
-  Status status =
-      engine.ForEach("table_state(" + goal + ", S)", [&](const Answer& a) {
-        state = a["S"];
-        return false;
-      });
-  EXPECT_TRUE(status.ok()) << status.message();
-  return state;
+  return FirstBinding(engine, "table_state(" + goal + ", S)", "S");
 }
 
 TEST(IncrementalMaintenance, AssertInvalidatesAndRequeryAgrees) {
@@ -593,6 +628,53 @@ TEST(IncrementalMaintenance, BaselineModeAbolishesAndRecomputes) {
   ASSERT_TRUE(engine.Holds("retract(edge(5,6))").value());
   EXPECT_EQ(engine.Count("path(X, Y)").value(), 10u);
   EXPECT_EQ(engine.evaluator().stats().update_events, consult_events + 2);
+}
+
+TEST(IncrementalMaintenance, BaselineUpdateMidBatchReachesTnotAndTfindall) {
+  // go's assert fires while go's own batch runs, so the baseline's abolish
+  // is deferred. Every later top-level completion must apply it before it
+  // reads a table, and table_state/2 must already report it.
+  Engine::Options options;
+  options.incremental = false;
+  Engine engine(options);
+  ASSERT_TRUE(engine
+                  .ConsultString(":- table go/0.\n"
+                                 ":- table t/0.\n"
+                                 ":- table s/1.\n"
+                                 ":- incremental(e/1).\n"
+                                 "e(0).\n"
+                                 "go :- assert(e(1)).\n"
+                                 "t :- e(1).\n"
+                                 "s(X) :- e(X).\n")
+                  .ok());
+  EXPECT_TRUE(engine.Holds("tnot(t)").value());
+  EXPECT_EQ(FirstBinding(engine, "tfindall(X, s(X), L)", "L"), "[0]");
+  ASSERT_TRUE(engine.Holds("go").value());
+  EXPECT_EQ(StateOf(engine, "t"), "undefined");
+  EXPECT_EQ(StateOf(engine, "s(X)"), "undefined");
+  EXPECT_FALSE(engine.Holds("e_tnot(t)").value());
+  EXPECT_FALSE(engine.Holds("tnot(t)").value());
+  EXPECT_EQ(FirstBinding(engine, "tfindall(X, s(X), L)", "L"), "[0,1]");
+}
+
+TEST(IncrementalMaintenance, TfindallInsideATabledRuleIsADependency) {
+  Engine engine;
+  ASSERT_TRUE(engine
+                  .ConsultString(":- table outer/1.\n"
+                                 ":- table inner/1.\n"
+                                 ":- incremental(d/1).\n"
+                                 "d(1). d(2).\n"
+                                 "inner(X) :- d(X).\n"
+                                 "outer(N) :- tfindall(X, inner(X), L), "
+                                 "length(L, N).\n")
+                  .ok());
+  EXPECT_EQ(FirstBinding(engine, "outer(N)", "N"), "2");
+  EXPECT_EQ(StateOf(engine, "outer(N)"), "complete");
+  ASSERT_TRUE(engine.Holds("assert(d(3))").value());
+  EXPECT_EQ(StateOf(engine, "inner(X)"), "invalid");
+  EXPECT_EQ(StateOf(engine, "outer(N)"), "invalid");
+  EXPECT_EQ(FirstBinding(engine, "outer(N)", "N"), "3");
+  EXPECT_EQ(StateOf(engine, "outer(N)"), "complete");
 }
 
 // --- Open-cursor freeze semantics --------------------------------------------
