@@ -125,31 +125,39 @@ void BM_CallTrieVariantHit(benchmark::State& state) {
 BENCHMARK(BM_CallTrieVariantHit);
 
 void BM_InternGroundHit(benchmark::State& state) {
-  // Steady-state cost of re-interning an already-stored ground term (the
+  // Steady-state cost of re-encoding an already-interned ground term (the
   // common case: repeated answers and calls over a warmed table space).
   Fixture f;
   InternTable interns(&f.symbols);
-  FlatTerm t = Flatten(f.store, f.Parse("f(g(1,2), h(a, [b,c]))"));
-  benchmark::DoNotOptimize(interns.Intern(t));
+  Word t = f.Parse("f(g(1,2), h(a, [b,c]))");
+  TokenScratch scratch;
+  interns.EncodeHeap(f.store, t, &scratch, nullptr);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(interns.Intern(t));
+    scratch.Reset();
+    interns.EncodeHeap(f.store, t, &scratch, nullptr);
+    benchmark::DoNotOptimize(scratch.tokens.data());
   }
 }
 BENCHMARK(BM_InternGroundHit);
 
-void BM_EncodeOpenAnswer(benchmark::State& state) {
-  // The per-answer encode step of AnswerTrie::Insert: functor kept open,
-  // ground compound arguments collapsed to interned tokens.
+void BM_EncodeAnswerBindings(benchmark::State& state) {
+  // The per-answer encode step of AnswerTrie::Insert: the bindings are
+  // tokenized straight from the heap, ground compounds collapsed to
+  // interned tokens.
   Fixture f;
   InternTable interns(&f.symbols);
-  FlatTerm t = Flatten(f.store, f.Parse("p(g(7), f(1,2,3), X)"));
-  std::vector<Word> tokens;
+  Word t = f.Parse("p(g(7), f(1,2,3), X)");
+  TokenScratch scratch;
   for (auto _ : state) {
-    interns.EncodeOpen(t.cells, &tokens);
-    benchmark::DoNotOptimize(tokens.data());
+    scratch.Reset();
+    for (int i = 0; i < 3; ++i) {
+      interns.EncodeHeap(f.store, f.store.Arg(f.store.Deref(t), i), &scratch,
+                         nullptr);
+    }
+    benchmark::DoNotOptimize(scratch.tokens.data());
   }
 }
-BENCHMARK(BM_EncodeOpenAnswer);
+BENCHMARK(BM_EncodeAnswerBindings);
 
 }  // namespace
 }  // namespace xsb

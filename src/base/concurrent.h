@@ -118,6 +118,17 @@ class ConcurrentArena {
     size_.store(0, std::memory_order_release);
   }
 
+  // Bytes of the blocks that hold elements [0, size()): what bytes() reports
+  // for an arena that was never cleared. A cleared arena keeps its first
+  // block for reuse, which this does not count.
+  size_t used_bytes() const {
+    size_t n = size();
+    if (n == 0) return 0;
+    size_t b, off;
+    Locate(n - 1, &b, &off);
+    return ((kBase << (b + 1)) - kBase) * sizeof(T);
+  }
+
   // Approximate resident bytes (allocated blocks).
   size_t bytes() const {
     size_t total = 0;

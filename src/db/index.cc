@@ -29,29 +29,29 @@ size_t FlatArgPos(const SymbolTable& symbols, const std::vector<Word>& cells,
   return p;
 }
 
-void ArgHashIndex::Insert(ClauseId id, Word key) {
+void ArgHashIndex::Insert(ClauseId id, Word key, bool at_front) {
   if (key == 0) {
-    // Variable in the indexed position: matches every key, so append to all
+    // Variable in the indexed position: matches every key, so add to all
     // current buckets and remember it for buckets created later.
-    var_clauses_.push_back(id);
-    for (auto& [k, bucket] : buckets_) bucket.push_back(id);
+    var_clauses_.Add(id, at_front);
+    for (auto& [k, bucket] : buckets_) bucket.Add(id, at_front);
     return;
   }
   auto [it, inserted] = buckets_.try_emplace(key);
   if (inserted) it->second = var_clauses_;  // seed with earlier var clauses
-  it->second.push_back(id);
+  it->second.Add(id, at_front);
 }
 
-const std::vector<ClauseId>& ArgHashIndex::Lookup(Word key) const {
+const ClauseList& ArgHashIndex::Lookup(Word key) const {
   auto it = buckets_.find(key);
   if (it == buckets_.end()) return var_clauses_;
   return it->second;
 }
 
-uint64_t CombinedHashIndex::HashKeys(const std::vector<Word>& keys) {
+uint64_t CombinedHashIndex::HashKeys(const Word* keys, size_t n) {
   uint64_t h = 1469598103934665603ULL;
-  for (Word k : keys) {
-    h ^= k;
+  for (size_t i = 0; i < n; ++i) {
+    h ^= keys[i];
     h *= 1099511628211ULL;
   }
   return h;
@@ -64,24 +64,23 @@ bool CombinedHashIndex::Keyable(const std::vector<Word>& keys) {
   return true;
 }
 
-void CombinedHashIndex::Insert(ClauseId id, const std::vector<Word>& keys) {
+void CombinedHashIndex::Insert(ClauseId id, const std::vector<Word>& keys,
+                               bool at_front) {
   if (!Keyable(keys)) {
-    catch_all_.push_back(id);
-    for (auto& [k, bucket] : buckets_) bucket.push_back(id);
+    catch_all_.Add(id, at_front);
+    for (auto& [k, bucket] : buckets_) bucket.Add(id, at_front);
     return;
   }
-  uint64_t h = HashKeys(keys);
-  auto [it, inserted] = buckets_.try_emplace(h);
+  auto [it, inserted] =
+      buckets_.try_emplace(HashKeys(keys.data(), keys.size()));
   if (inserted) it->second = catch_all_;
-  it->second.push_back(id);
+  it->second.Add(id, at_front);
 }
 
-const std::vector<ClauseId>* CombinedHashIndex::Lookup(
-    const std::vector<Word>& keys) const {
-  if (!Keyable(keys)) return nullptr;
-  auto it = buckets_.find(HashKeys(keys));
-  if (it == buckets_.end()) return &catch_all_;
-  return &it->second;
+const ClauseList& CombinedHashIndex::Lookup(const Word* keys) const {
+  auto it = buckets_.find(HashKeys(keys, args_.size()));
+  if (it == buckets_.end()) return catch_all_;
+  return it->second;
 }
 
 }  // namespace xsb

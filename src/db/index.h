@@ -1,7 +1,10 @@
 #ifndef XSB_DB_INDEX_H_
 #define XSB_DB_INDEX_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -27,30 +30,137 @@ Word FlatArgKey(const std::vector<Word>& cells, size_t pos);
 size_t FlatArgPos(const SymbolTable& symbols, const std::vector<Word>& cells,
                   size_t pos, int arg);
 
+// --- Clause lists and candidate views ----------------------------------------
+
+// Clause ids in clause order. The ids added by asserta are kept apart,
+// newest last (so clause order reads them backwards), from the others, kept
+// in order; clause ids grow with time, so the others are sorted. Both parts
+// only ever grow, which is what makes a view that remembers their lengths a
+// snapshot (see CandidateView). The asserta part is allocated on first use:
+// most lists never have one.
+class ClauseList {
+ public:
+  ClauseList() = default;
+  ClauseList(const ClauseList& other)
+      : back_(other.back_),
+        front_(other.front_ == nullptr
+                   ? nullptr
+                   : std::make_unique<std::vector<ClauseId>>(*other.front_)) {}
+  ClauseList& operator=(const ClauseList& other) {
+    if (this != &other) *this = ClauseList(other);
+    return *this;
+  }
+  ClauseList(ClauseList&&) = default;
+  ClauseList& operator=(ClauseList&&) = default;
+
+  void Add(ClauseId id, bool at_front) {
+    if (!at_front) {
+      back_.push_back(id);
+      return;
+    }
+    if (front_ == nullptr) front_ = std::make_unique<std::vector<ClauseId>>();
+    front_->push_back(id);
+  }
+  size_t front_size() const { return front_ == nullptr ? 0 : front_->size(); }
+  size_t size() const { return front_size() + back_.size(); }
+  // The asserta'd ids, newest last; null when there are none.
+  const std::vector<ClauseId>* front() const { return front_.get(); }
+  const std::vector<ClauseId>& back() const { return back_; }
+
+ private:
+  std::vector<ClauseId> back_;
+  std::unique_ptr<std::vector<ClauseId>> front_;
+};
+
+// The candidate clauses of one call, in clause order, without copying them:
+// a view of a ClauseList (an index bucket, or every clause) as it stood when
+// the view was taken. Clauses added later — by asserta or assertz, even while
+// the view is being walked — stay outside it: the logical update view of
+// ISO Prolog. Retracted clauses stay inside as tombstones (callers skip
+// `erased` ones). A view of the first-string index owns the id list that
+// index computes per call.
+//
+// A view stays valid across clause additions and erasures; redeclaring the
+// predicate's index (a consult-time directive) invalidates it.
+class CandidateView {
+ public:
+  class Iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = ClauseId;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const ClauseId*;
+    using reference = ClauseId;
+
+    Iterator() = default;
+    Iterator(const CandidateView* view, size_t i) : view_(view), i_(i) {}
+    ClauseId operator*() const { return (*view_)[i_]; }
+    Iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator before = *this;
+      ++i_;
+      return before;
+    }
+    bool operator==(const Iterator& other) const { return i_ == other.i_; }
+    bool operator!=(const Iterator& other) const { return i_ != other.i_; }
+
+   private:
+    const CandidateView* view_ = nullptr;
+    size_t i_ = 0;
+  };
+
+  CandidateView() = default;
+  explicit CandidateView(const ClauseList& list)
+      : list_(&list), num_front_(list.front_size()), size_(list.size()) {}
+  explicit CandidateView(std::vector<ClauseId> ids)
+      : size_(ids.size()), owned_(std::move(ids)) {}
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  ClauseId operator[](size_t i) const {
+    if (list_ == nullptr) return owned_[i];
+    return i < num_front_ ? (*list_->front())[num_front_ - 1 - i]
+                          : list_->back()[i - num_front_];
+  }
+  Iterator begin() const { return Iterator(this, 0); }
+  Iterator end() const { return Iterator(this, size_); }
+
+ private:
+  const ClauseList* list_ = nullptr;  // null: the ids are owned_
+  size_t num_front_ = 0;
+  size_t size_ = 0;
+  std::vector<ClauseId> owned_;
+};
+
 // --- Hash indexes ------------------------------------------------------------
 
 // Hash index on the outer symbol of one argument position. Clauses whose
 // indexed argument is a variable appear in every bucket (and in the bucket
-// seeded for keys unseen so far), preserving source clause order.
+// seeded for keys unseen so far), preserving clause order. Buckets are hash
+// nodes, so a bucket keeps its address — which open CandidateViews rely on
+// — while the index grows.
 class ArgHashIndex {
  public:
   explicit ArgHashIndex(int arg) : arg_(arg) {}
 
   int arg() const { return arg_; }
 
-  // `key` = FlatArgKey of the clause head's indexed argument.
-  void Insert(ClauseId id, Word key);
+  // `key` = FlatArgKey of the clause head's indexed argument; `at_front`
+  // for asserta.
+  void Insert(ClauseId id, Word key, bool at_front);
 
   // Candidate clauses for a call whose indexed argument has key `key`
-  // (0 = unbound: caller should scan all clauses instead).
-  const std::vector<ClauseId>& Lookup(Word key) const;
-
-  const std::vector<ClauseId>& var_clauses() const { return var_clauses_; }
+  // (0 = unbound: caller should scan all clauses instead). The list stays
+  // at its address while the index lives.
+  const ClauseList& Lookup(Word key) const;
 
  private:
   int arg_;
-  std::unordered_map<Word, std::vector<ClauseId>> buckets_;
-  std::vector<ClauseId> var_clauses_;
+  std::unordered_map<Word, ClauseList> buckets_;
+  ClauseList var_clauses_;
 };
 
 // A multi-field index: one combined hash over the outer symbols of a set of
@@ -58,24 +168,27 @@ class ArgHashIndex {
 // position in the set is bound in the call.
 class CombinedHashIndex {
  public:
+  static constexpr size_t kMaxFields = 3;
+
   explicit CombinedHashIndex(std::vector<int> args) : args_(std::move(args)) {}
 
   const std::vector<int>& args() const { return args_; }
 
-  void Insert(ClauseId id, const std::vector<Word>& keys);
-  // Returns nullptr if any key is unbound (index unusable) — the caller
-  // falls through to the next index in the declaration order.
-  const std::vector<ClauseId>* Lookup(const std::vector<Word>& keys) const;
+  void Insert(ClauseId id, const std::vector<Word>& keys, bool at_front);
+  // `keys` holds one key per field in args() order, none of them 0 (an
+  // unbound field makes the index unusable; the caller moves on to the next
+  // index in declaration order).
+  const ClauseList& Lookup(const Word* keys) const;
 
   // True if the clause can be keyed (no variable among indexed args).
   static bool Keyable(const std::vector<Word>& keys);
 
  private:
-  static uint64_t HashKeys(const std::vector<Word>& keys);
+  static uint64_t HashKeys(const Word* keys, size_t n);
 
   std::vector<int> args_;
-  std::unordered_map<uint64_t, std::vector<ClauseId>> buckets_;
-  std::vector<ClauseId> catch_all_;  // clauses with a variable in a keyed arg
+  std::unordered_map<uint64_t, ClauseList> buckets_;
+  ClauseList catch_all_;  // clauses with a variable in a keyed arg
 };
 
 }  // namespace xsb

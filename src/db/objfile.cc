@@ -104,7 +104,8 @@ Status SaveObjectFile(const Program& program,
     OutPred op;
     op.functor = local.Functor(pred->functor());
     op.tabled = pred->tabled() ? 1 : 0;
-    for (const Clause& clause : pred->clauses()) {
+    for (ClauseId id : pred->AllClauses()) {
+      const Clause& clause = pred->clause(id);
       if (clause.erased) continue;
       OutClause oc;
       oc.is_rule = clause.is_rule ? 1 : 0;

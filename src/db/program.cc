@@ -1,23 +1,22 @@
 #include "db/program.h"
 
+#include <algorithm>
+
 namespace xsb {
 
 ClauseId Predicate::AddClause(const SymbolTable& symbols, Clause clause,
                               bool front) {
   ++live_count_;
-  if (front && !clauses_.empty()) {
-    clauses_.insert(clauses_.begin(), std::move(clause));
-    Reindex(symbols);
-    return 0;
-  }
   clauses_.push_back(std::move(clause));
   ClauseId id = static_cast<ClauseId>(clauses_.size() - 1);
-  IndexClause(symbols, id);
+  all_.Add(id, front);
+  IndexClause(symbols, id, front);
   return id;
 }
 
 void Predicate::ClearClauses() {
   clauses_.clear();
+  all_ = ClauseList();
   live_count_ = 0;
   first_arg_.reset();
   hash_indexes_.clear();
@@ -46,7 +45,8 @@ std::vector<Word> Predicate::KeysFor(const SymbolTable& symbols,
   return keys;
 }
 
-void Predicate::IndexClause(const SymbolTable& symbols, ClauseId id) {
+void Predicate::IndexClause(const SymbolTable& symbols, ClauseId id,
+                            bool front) {
   const Clause& clause = clauses_[id];
   int arity = symbols.FunctorArity(functor_);
   switch (index_kind_) {
@@ -58,7 +58,7 @@ void Predicate::IndexClause(const SymbolTable& symbols, ClauseId id) {
         first_arg_ = std::make_unique<ArgHashIndex>(1);
       }
       size_t pos = FlatArgPos(symbols, clause.term.cells, clause.head_pos, 0);
-      first_arg_->Insert(id, FlatArgKey(clause.term.cells, pos));
+      first_arg_->Insert(id, FlatArgKey(clause.term.cells, pos), front);
       return;
     }
     case IndexKind::kMultiField: {
@@ -67,7 +67,8 @@ void Predicate::IndexClause(const SymbolTable& symbols, ClauseId id) {
           hash_indexes_.push_back(
               std::make_unique<CombinedHashIndex>(field_sets_[i]));
         }
-        hash_indexes_[i]->Insert(id, KeysFor(symbols, clause, field_sets_[i]));
+        hash_indexes_[i]->Insert(id, KeysFor(symbols, clause, field_sets_[i]),
+                                 front);
       }
       return;
     }
@@ -83,8 +84,8 @@ void Predicate::Reindex(const SymbolTable& symbols) {
   first_arg_.reset();
   hash_indexes_.clear();
   trie_.reset();
-  for (ClauseId id = 0; id < clauses_.size(); ++id) {
-    if (!clauses_[id].erased) IndexClause(symbols, id);
+  for (ClauseId id : AllClauses()) {
+    if (!clauses_[id].erased) IndexClause(symbols, id, /*front=*/false);
   }
 }
 
@@ -117,74 +118,70 @@ void Predicate::SetNoIndex() {
   trie_.reset();
 }
 
-std::vector<ClauseId> Predicate::Candidates(const TermStore& store,
-                                            Word goal) const {
+CandidateView Predicate::Candidates(const TermStore& store, Word goal) const {
   goal = store.Deref(goal);
-  std::vector<ClauseId> all;
-  auto scan_all = [&]() {
-    all.reserve(clauses_.size());
-    for (ClauseId id = 0; id < clauses_.size(); ++id) all.push_back(id);
-    return all;
+  auto key_of = [&](int arg) {
+    Word a = store.Deref(store.Arg(goal, arg));
+    if (IsRef(a)) return Word{0};
+    return IsStruct(a) ? FunctorCell(store.StructFunctor(a)) : a;
   };
-
   switch (index_kind_) {
     case IndexKind::kNone:
-      return scan_all();
+      break;
     case IndexKind::kFirstArg: {
-      if (first_arg_ == nullptr || !IsStruct(goal)) return scan_all();
-      Word arg = store.Deref(store.Arg(goal, 0));
-      if (IsRef(arg)) return scan_all();
-      Word key = IsStruct(arg) ? FunctorCell(store.StructFunctor(arg)) : arg;
-      return first_arg_->Lookup(key);
+      if (first_arg_ == nullptr || !IsStruct(goal)) break;
+      Word key = key_of(0);
+      if (key == 0) break;
+      return CandidateView(first_arg_->Lookup(key));
     }
     case IndexKind::kMultiField: {
-      if (!IsStruct(goal)) return scan_all();
+      if (!IsStruct(goal)) break;
       // First declared index whose fields are all bound in the call wins,
       // mirroring ":- index(p/5,[1,2,3+5])" semantics from the paper.
       for (const auto& index : hash_indexes_) {
-        std::vector<Word> keys;
-        keys.reserve(index->args().size());
-        bool usable = true;
+        Word keys[CombinedHashIndex::kMaxFields];
+        size_t n = 0;
         for (int field : index->args()) {
-          Word arg = store.Deref(store.Arg(goal, field - 1));
-          if (IsRef(arg)) {
-            usable = false;
-            break;
-          }
-          keys.push_back(IsStruct(arg)
-                             ? FunctorCell(store.StructFunctor(arg))
-                             : arg);
+          keys[n] = key_of(field - 1);
+          if (keys[n] == 0) break;
+          ++n;
         }
-        if (!usable) continue;
-        const std::vector<ClauseId>* bucket = index->Lookup(keys);
-        if (bucket != nullptr) return *bucket;
+        if (n == index->args().size()) {
+          return CandidateView(index->Lookup(keys));
+        }
       }
-      return scan_all();
+      break;
     }
     case IndexKind::kFirstString: {
-      if (trie_ == nullptr) return scan_all();
-      return trie_->Lookup(store, goal);
+      if (trie_ == nullptr) break;
+      std::vector<ClauseId> ids = trie_->Lookup(store, goal);
+      const std::vector<ClauseId>* front = all_.front();
+      if (front != nullptr) {
+        // The ids come sorted, which is clause order except for asserta'd
+        // clauses: those go first, the newest first.
+        auto rank = [front](ClauseId id) -> int64_t {
+          for (size_t k = 0; k < front->size(); ++k) {
+            if ((*front)[k] == id) return -static_cast<int64_t>(k) - 1;
+          }
+          return id;
+        };
+        std::sort(ids.begin(), ids.end(), [&rank](ClauseId a, ClauseId b) {
+          return rank(a) < rank(b);
+        });
+      }
+      return CandidateView(std::move(ids));
     }
   }
-  return scan_all();
-}
-
-Predicate* Program::Lookup(FunctorId functor) {
-  auto it = predicates_.find(functor);
-  return it == predicates_.end() ? nullptr : it->second.get();
-}
-
-const Predicate* Program::Lookup(FunctorId functor) const {
-  auto it = predicates_.find(functor);
-  return it == predicates_.end() ? nullptr : it->second.get();
+  return AllClauses();
 }
 
 Predicate* Program::LookupOrCreate(FunctorId functor) {
-  auto it = predicates_.find(functor);
-  if (it != predicates_.end()) return it->second.get();
+  if (Predicate* found = Lookup(functor)) return found;
   auto pred = std::make_unique<Predicate>(functor, current_module_);
   Predicate* raw = pred.get();
   predicates_.emplace(functor, std::move(pred));
+  if (functor >= by_functor_.size()) by_functor_.resize(functor + 1, nullptr);
+  by_functor_[functor] = raw;
   return raw;
 }
 

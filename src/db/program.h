@@ -106,7 +106,7 @@ enum class IndexKind {
 };
 
 // One stored clause. `term` is the flattened full clause: either a bare head
-// (a fact) or ':-'(Head, Body).
+// (a fact) or ':-'(Head, Body); in a rule the body follows the head.
 struct Clause {
   FlatTerm term;
   bool is_rule = false;
@@ -192,12 +192,19 @@ class Predicate {
 
   IndexKind index_kind() const { return index_kind_; }
 
+  // Every clause ever added, erased ones included, indexed by ClauseId. Ids
+  // are stable: a clause keeps its id for the predicate's life, and id
+  // order is the order of addition, not clause order (see AllClauses).
   const std::vector<Clause>& clauses() const { return clauses_; }
   const Clause& clause(ClauseId id) const { return clauses_[id]; }
   size_t num_live_clauses() const { return live_count_; }
 
-  // Appends (or prepends, for asserta) a clause and updates indexes.
-  // Prepended clauses force the index to rebuild.
+  // Every clause in clause order (erased ones included).
+  CandidateView AllClauses() const { return CandidateView(all_); }
+
+  // Adds a clause at the end of the clause order, or at its front for
+  // asserta, and updates the indexes. Returns its new id. Open views keep
+  // their snapshot (see CandidateView).
   ClauseId AddClause(const SymbolTable& symbols, Clause clause, bool front);
 
   // Tombstones a clause (retract/1).
@@ -213,17 +220,18 @@ class Predicate {
   void SetFirstStringIndex(const SymbolTable& symbols);
   void SetNoIndex();
 
-  // Candidate clauses for `goal` (a dereferenced heap term of this
-  // predicate), best available index first. The result is a superset of the
-  // clauses whose heads unify with the goal, in source order, and may
-  // include erased clauses (callers must check).
-  std::vector<ClauseId> Candidates(const TermStore& store, Word goal) const;
+  // Candidate clauses for `goal` (a heap term of this predicate), best
+  // available index first: a superset of the clauses whose heads unify with
+  // the goal, in clause order, possibly including erased clauses (callers
+  // must check). A view, not a copy: except under first-string indexing it
+  // allocates nothing.
+  CandidateView Candidates(const TermStore& store, Word goal) const;
 
   const FirstStringIndex* first_string_index() const { return trie_.get(); }
 
  private:
   void Reindex(const SymbolTable& symbols);
-  void IndexClause(const SymbolTable& symbols, ClauseId id);
+  void IndexClause(const SymbolTable& symbols, ClauseId id, bool front);
   std::vector<Word> KeysFor(const SymbolTable& symbols, const Clause& clause,
                             const std::vector<int>& fields) const;
 
@@ -248,6 +256,7 @@ class Predicate {
   std::unique_ptr<FirstStringIndex> trie_;
 
   std::vector<Clause> clauses_;
+  ClauseList all_;  // every clause id, in clause order
 };
 
 // Receives change notifications for incremental dynamic predicates. The
@@ -282,9 +291,14 @@ class Program {
   OpTable* ops() { return &ops_; }
   const OpTable& ops() const { return ops_; }
 
-  // Looks a predicate up; returns nullptr if never defined/declared.
-  Predicate* Lookup(FunctorId functor);
-  const Predicate* Lookup(FunctorId functor) const;
+  // Looks a predicate up; returns nullptr if never defined/declared. One
+  // load on the clause-resolution hot path.
+  Predicate* Lookup(FunctorId functor) {
+    return functor < by_functor_.size() ? by_functor_[functor] : nullptr;
+  }
+  const Predicate* Lookup(FunctorId functor) const {
+    return functor < by_functor_.size() ? by_functor_[functor] : nullptr;
+  }
   // Looks up, creating an empty predicate on first use.
   Predicate* LookupOrCreate(FunctorId functor);
 
@@ -405,6 +419,8 @@ class Program {
   AtomId user_module_;
   AtomId current_module_;
   std::unordered_map<FunctorId, std::unique_ptr<Predicate>> predicates_;
+  // predicates_ indexed densely by FunctorId (null where none).
+  std::vector<Predicate*> by_functor_;
   std::unordered_set<AtomId> hilog_atoms_;
   std::vector<analysis::Diagnostic> consult_lints_;
   std::vector<analysis::Diagnostic> analysis_diagnostics_;

@@ -85,6 +85,13 @@ size_t TokenTrie::bytes() const {
   return total;
 }
 
+size_t TokenTrie::used_bytes() const {
+  size_t total = nodes_.used_bytes() + child_maps_.used_bytes();
+  size_t num_maps = child_maps_.size();
+  for (size_t i = 0; i < num_maps; ++i) total += child_maps_[i]->bytes();
+  return total;
+}
+
 void TokenTrie::Clear() {
   FreeChildMaps();
   child_maps_.Clear();

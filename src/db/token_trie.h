@@ -99,6 +99,9 @@ class TokenTrie {
   // Approximate resident bytes of the trie structure (node arena blocks
   // plus escalated child indexes).
   size_t bytes() const;
+  // bytes() of a trie that was never cleared and holds these nodes: the
+  // arena blocks a Clear keeps for reuse are not counted.
+  size_t used_bytes() const;
 
   // Drops every node (writer only, requires quiescence).
   void Clear();

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "term/flat.h"
+#include "term/store.h"
 
 namespace xsb {
 
@@ -36,13 +37,17 @@ class AnswerSource {
 
   // --- Substitution-factored enumeration ------------------------------------
   // A factored source stores answers as bindings of one shared call
-  // template's variables. When answer_template() is non-null, a consumer may
-  // unify the template against its goal once, then per answer read only the
-  // binding stream (segments in template-variable ordinal order) instead of
-  // re-materializing the full instance. Default: not factored.
+  // template's variables. When answer_template() is non-null, a consumer
+  // unifies the template against its goal once, keeping the heap term each
+  // template variable met in consecutive heap cells, and then per answer
+  // calls UnifyBindings instead of reading the full instance: template
+  // variable k's binding is unified with heap cell template_vars + k, in
+  // ordinal order, failing at the first clash (bindings stay trailed for the
+  // caller to undo). Default: not factored.
   virtual const FlatTerm* answer_template() const { return nullptr; }
-  virtual void ReadBindings(size_t i, FlatTerm* out) const {
-    ReadAnswer(i, out);
+  virtual bool UnifyBindings(size_t /*i*/, TermStore* /*store*/,
+                             uint64_t /*template_vars*/) const {
+    return false;
   }
 };
 

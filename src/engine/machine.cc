@@ -50,21 +50,26 @@ void Machine::PushAnswerChoices(Word goal, const AnswerSource* answers,
     // Substitution-factored source: unify the call template against the
     // goal once, here, *before* capturing the choice point's marks. The
     // goal is a variant of the template (that is how the table was found),
-    // so this only aliases template variables to goal subterms; per-answer
-    // backtracking then undoes answer bindings but keeps the aliasing, and
-    // each answer needs only its binding cells unified — the ground call
-    // skeleton is never decoded again.
-    cp.template_vars.assign(tmpl->num_vars, 0);
-    Word t = Unflatten(store_, *tmpl, &cp.template_vars);
-    if (store_->Unify(goal, t)) {
+    // so this only hands each template variable the goal subterm it meets;
+    // those are parked in consecutive heap cells below the marks, where
+    // per-answer backtracking keeps them. Each answer then needs only its
+    // bindings unified — the ground call skeleton is never decoded again.
+    template_scratch_.assign(tmpl->num_vars, kNoVar);
+    size_t pos = 0;
+    if (UnifyTokens(store_, nullptr, tmpl->cells.data(), &pos, goal,
+                    &template_scratch_)) {
       cp.factored = true;
+      cp.template_vars = store_->HeapMark();
+      for (Word v : template_scratch_) {
+        Word cell = store_->MakeVar();
+        if (v != kNoVar) store_->At(PayloadOf(cell)) = v;
+      }
       cp.trail_mark = store_->TrailMark();
       cp.heap_mark = store_->HeapMark();
     } else {
       // Cannot happen for variant calls; fall back to full answer reads.
       store_->UndoTrail(cp.trail_mark);
       store_->TruncateHeap(cp.heap_mark);
-      cp.template_vars.clear();
     }
   }
   cps_.push_back(std::move(cp));
@@ -98,19 +103,20 @@ bool Machine::TryClause(Predicate* pred, ClauseId id, Word goal,
                         const GoalNode** new_goals) {
   const Clause& clause = pred->clause(id);
   ++stats_.head_unifications;
-  clause_vars_.assign(clause.term.num_vars, 0);
-  Word inst = Unflatten(store_, clause.term, &clause_vars_);
-  Word head = inst;
-  Word body = 0;
-  if (clause.is_rule) {
-    Word d = store_->Deref(inst);
-    head = store_->Arg(d, 0);
-    body = store_->Arg(d, 1);
+  // The head is unified in place: goal subterms meet clause variables
+  // without a copy, and only what the goal leaves unbound is built. The
+  // body, which follows the head in the stored clause, is built only once
+  // the head has matched.
+  const Word* cells = clause.term.cells.data();
+  clause_vars_.assign(clause.term.num_vars, kNoVar);
+  size_t pos = clause.head_pos;
+  if (!UnifyTokens(store_, nullptr, cells, &pos, goal, &clause_vars_)) {
+    return false;
   }
-  if (!store_->Unify(goal, head)) return false;
   if (!clause.is_rule) {
     *new_goals = cont;
   } else {
+    Word body = BuildTokens(store_, nullptr, cells, &pos, &clause_vars_);
     *new_goals = Cons(body, cont, entry_depth);
   }
   return true;
@@ -124,16 +130,38 @@ bool Machine::Backtrack(size_t base_cp, const GoalNode** goals) {
     switch (cp.kind) {
       case ChoiceKind::kClauses: {
         uint32_t entry_depth = static_cast<uint32_t>(cps_.size() - 1);
-        while (cp.next_candidate < cp.candidates.size()) {
-          ClauseId id = cp.candidates[cp.next_candidate++];
+        size_t n = cp.candidates.size();
+        bool last = false;
+        ClauseId id = 0;
+        while (cp.next_candidate < n) {
+          id = cp.candidates[cp.next_candidate++];
           if (cp.pred->clause(id).erased) continue;
+          if (cp.next_candidate == n) {
+            last = true;
+            break;
+          }
           if (TryClause(cp.pred, id, cp.goal, cp.cont, entry_depth, goals)) {
             return true;
           }
           store_->UndoTrail(cp.trail_mark);
           store_->TruncateHeap(cp.heap_mark);
         }
+        if (!last) {
+          cps_.pop_back();
+          continue;
+        }
+        // The last candidate runs without its choice point (the WAM's
+        // trust): nothing is left to retry, and deterministic recursion then
+        // keeps the choice-point stack flat.
+        Predicate* pred = cp.pred;
+        Word goal = cp.goal;
+        const GoalNode* cont = cp.cont;
+        size_t trail_mark = cp.trail_mark;
+        size_t heap_mark = cp.heap_mark;
         cps_.pop_back();
+        if (TryClause(pred, id, goal, cont, entry_depth, goals)) return true;
+        store_->UndoTrail(trail_mark);
+        store_->TruncateHeap(heap_mark);
         continue;
       }
       case ChoiceKind::kDisjunction: {
@@ -183,21 +211,9 @@ bool Machine::NextAnswer(ChoicePoint& cp) {
     size_t i = cp.next_answer++;
     if (cp.cursor != nullptr) *cp.cursor = cp.next_answer;
     if (cp.factored) {
-      // Factored return: rebuild only the binding segments and unify each
-      // against its (goal-aliased) template variable.
-      cp.answers->ReadBindings(i, &answer_scratch_);
-      answer_vars_scratch_.assign(answer_scratch_.num_vars, 0);
-      size_t pos = 0;
-      bool ok = true;
-      for (Word tv : cp.template_vars) {
-        Word b = UnflattenNext(store_, answer_scratch_, &pos,
-                               &answer_vars_scratch_);
-        if (!store_->Unify(tv, b)) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) {
+      // Factored return: the source unifies each template variable with its
+      // binding straight from the stored answer.
+      if (cp.answers->UnifyBindings(i, store_, cp.template_vars)) {
         ++stats_.factored_answer_returns;
         return true;
       }

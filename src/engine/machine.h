@@ -262,7 +262,7 @@ class Machine {
     uint32_t cut_depth = 0;
     // kClauses
     Predicate* pred = nullptr;
-    std::vector<ClauseId> candidates;
+    CandidateView candidates;
     size_t next_candidate = 0;
     // kDisjunction
     Word alternative = 0;
@@ -273,11 +273,12 @@ class Machine {
     // consulted before each live answer.
     size_t* cursor = nullptr;
     const std::function<bool()>* deliver = nullptr;
-    // kAnswers, factored mode: heap cells aliased to the source's answer
-    // template variables (template unified with `goal` once, at push time,
-    // before this choice point's marks — so per-answer backtracking keeps
-    // the aliasing and only undoes the binding unifications).
-    std::vector<Word> template_vars;
+    // kAnswers, factored mode: heap address of the first of the cells that
+    // hold, per template variable, the goal subterm it aliases (template
+    // unified with `goal` once, at push time, before this choice point's
+    // marks — so per-answer backtracking keeps the aliasing and only undoes
+    // the binding unifications).
+    uint64_t template_vars = 0;
     bool factored = false;
     // kBetween
     int64_t next_value = 0;
@@ -303,8 +304,9 @@ class Machine {
   StepResult CallUserPredicate(Word goal, FunctorId functor,
                                const GoalNode* cont, uint32_t cut_depth,
                                bool force_clause_resolution);
-  // Instantiates clause `id` of `pred` and unifies its head with `goal`.
-  // On success sets *body_goals to the clause body resolvent.
+  // Unifies the head of clause `id` of `pred` with `goal` straight from the
+  // stored clause, then builds its body. On success sets *new_goals to the
+  // clause body resolvent.
   bool TryClause(Predicate* pred, ClauseId id, Word goal,
                  const GoalNode* cont, uint32_t entry_depth,
                  const GoalNode** new_goals);
@@ -319,13 +321,13 @@ class Machine {
   std::vector<std::unique_ptr<AnswerSource>> adopted_sources_;
   std::vector<ChoicePoint> cps_;
   FlatTerm answer_scratch_;  // reused by the answer-choice backtracker
-  std::vector<Word> answer_vars_scratch_;  // fresh vars per factored answer
+  std::vector<Word> template_scratch_;  // PushAnswerChoices' template vars
   FlatTerm findall_scratch_;  // reused by FindAll's per-solution flatten
   Status error_;
   bool stop_requested_ = false;
 
   std::vector<std::pair<Word, bool>> pending_goals_;  // goal, opaque_cut
-  std::vector<Word> clause_vars_;  // scratch for clause instantiation
+  std::vector<Word> clause_vars_;  // TryClause's clause-variable terms
 
   MachineStats stats_;
   FunctorId counted_functor_ = 0;

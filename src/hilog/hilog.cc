@@ -115,7 +115,8 @@ Result<SpecializeStats> Specialize(TermStore* store, Program* program) {
     auto spec_it = specs.find(functor);
     std::vector<Word> new_clauses;
     bool changed = spec_it != specs.end();
-    for (const Clause& clause : pred->clauses()) {
+    for (ClauseId id : pred->AllClauses()) {
+      const Clause& clause = pred->clause(id);
       if (clause.erased) continue;
       Word term = Unflatten(store, clause.term);
       Word head = term;

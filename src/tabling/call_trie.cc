@@ -2,109 +2,40 @@
 
 namespace xsb {
 
-CallTrie::WalkScratch& CallTrie::Scratch() {
-  static thread_local WalkScratch scratch;
+TokenScratch& CallTrie::Scratch() {
+  static thread_local TokenScratch scratch;
   return scratch;
-}
-
-const std::vector<Word>& CallTrie::last_tokens() const {
-  return Scratch().tokens;
-}
-
-uint32_t CallTrie::last_num_vars() const {
-  return static_cast<uint32_t>(Scratch().var_cells.size());
 }
 
 FlatTerm CallTrie::DecodeLastCall() const {
   return interns_->Decode(Scratch().tokens);
 }
 
-bool CallTrie::EncodeHeapSubterm(const TermStore& store, Word t, bool probing,
-                                 WalkScratch& scratch) const {
-  Word x = store.Deref(t);
-  switch (TagOf(x)) {
-    case Tag::kRef: {
-      uint64_t cell = PayloadOf(x);
-      uint32_t ordinal = static_cast<uint32_t>(scratch.var_cells.size());
-      for (uint32_t i = 0; i < scratch.var_cells.size(); ++i) {
-        if (scratch.var_cells[i] == cell) {
-          ordinal = i;
-          break;
-        }
-      }
-      if (ordinal == scratch.var_cells.size()) {
-        scratch.var_cells.push_back(cell);
-      }
-      scratch.tokens.push_back(LocalCell(ordinal));
-      return false;
-    }
-    case Tag::kAtom:
-    case Tag::kInt:
-      scratch.tokens.push_back(x);
-      return true;
-    case Tag::kStruct: {
-      // Emit the functor token speculatively; every ground argument
-      // collapses to exactly one token, so if the whole subterm turns out
-      // ground, the args sit in tokens[mark+1 .. mark+arity] and are
-      // replaced by one interned token (the heap-walking twin of
-      // InternTable::EncodeSubterm).
-      FunctorId f = store.StructFunctor(x);
-      int arity = interns_->symbols().FunctorArity(f);
-      size_t mark = scratch.tokens.size();
-      scratch.tokens.push_back(FunctorCell(f));
-      bool ground = true;
-      for (int i = 0; i < arity; ++i) {
-        ground &= EncodeHeapSubterm(store, store.Arg(x, i), probing, scratch);
-        if (probing && scratch.probe_miss) return true;  // unwound by caller
-      }
-      if (ground) {
-        Word token;
-        if (probing) {
-          token =
-              interns_->FindNode(f, scratch.tokens.data() + mark + 1, arity);
-          if (token == InternTable::kNoToken) {
-            scratch.probe_miss = true;
-            return true;
-          }
-        } else {
-          token =
-              interns_->InternNode(f, scratch.tokens.data() + mark + 1, arity);
-        }
-        scratch.tokens.resize(mark);
-        scratch.tokens.push_back(token);
-      }
-      return ground;
-    }
-    default:
-      scratch.tokens.push_back(x);
-      return true;
-  }
-}
-
 bool CallTrie::EncodeCall(const TermStore& store, Word goal, bool probing,
-                          WalkScratch& scratch) const {
-  scratch.tokens.clear();
-  scratch.var_cells.clear();
-  scratch.probe_miss = false;
+                          TokenScratch* scratch) const {
+  scratch->Reset();
   Word x = store.Deref(goal);
-  if (IsStruct(x)) {
-    FunctorId f = store.StructFunctor(x);
-    scratch.tokens.push_back(FunctorCell(f));
-    int arity = interns_->symbols().FunctorArity(f);
-    for (int i = 0; i < arity; ++i) {
-      EncodeHeapSubterm(store, store.Arg(x, i), probing, scratch);
-      if (probing && scratch.probe_miss) return false;
+  if (!IsStruct(x)) {
+    if (probing) return interns_->ProbeHeap(store, x, scratch);
+    interns_->EncodeHeap(store, x, scratch, nullptr);
+    return true;
+  }
+  FunctorId f = store.StructFunctor(x);
+  scratch->tokens.push_back(FunctorCell(f));
+  int arity = interns_->symbols().FunctorArity(f);
+  for (int i = 0; i < arity; ++i) {
+    if (probing) {
+      if (!interns_->ProbeHeap(store, store.Arg(x, i), scratch)) return false;
+    } else {
+      interns_->EncodeHeap(store, store.Arg(x, i), scratch, nullptr);
     }
-  } else {
-    EncodeHeapSubterm(store, x, probing, scratch);
-    if (probing && scratch.probe_miss) return false;
   }
   return true;
 }
 
 TokenTrie::NodeId CallTrie::LookupOrInsert(const TermStore& store, Word goal) {
-  WalkScratch& scratch = Scratch();
-  EncodeCall(store, goal, /*probing=*/false, scratch);
+  TokenScratch& scratch = Scratch();
+  EncodeCall(store, goal, /*probing=*/false, &scratch);
   TokenTrie::NodeId node = TokenTrie::root();
   for (Word token : scratch.tokens) {
     node = trie_.Extend(node, token, nullptr);
@@ -113,8 +44,8 @@ TokenTrie::NodeId CallTrie::LookupOrInsert(const TermStore& store, Word goal) {
 }
 
 TokenTrie::NodeId CallTrie::Probe(const TermStore& store, Word goal) const {
-  WalkScratch& scratch = Scratch();
-  if (!EncodeCall(store, goal, /*probing=*/true, scratch)) {
+  TokenScratch& scratch = Scratch();
+  if (!EncodeCall(store, goal, /*probing=*/true, &scratch)) {
     return TokenTrie::kNilNode;
   }
   TokenTrie::NodeId node = TokenTrie::root();

@@ -12,9 +12,10 @@
 namespace xsb {
 
 // The call trie: XSB's variant-based subgoal index (section 3.2), realized
-// over the shared TokenTrie. A tabled call is checked/inserted in a single
-// walk from the live heap term — no intermediate FlatTerm is materialized —
-// tokenizing as it goes: variables become kLocal cells numbered by first
+// over the shared TokenTrie. A tabled call is tokenized straight from the
+// live heap term by the engine's one heap-to-token encoder
+// (InternTable::EncodeHeap, shared with the answer tries) — no intermediate
+// FlatTerm is materialized: variables become kLocal cells numbered by first
 // occurrence, and every maximal ground compound subterm collapses to one
 // kInterned token via the engine-wide intern store (so a repeated ground
 // call is a handful of trie steps regardless of its size). Two calls are
@@ -29,8 +30,8 @@ namespace xsb {
 // number of serving threads concurrently with one inserter — its walk
 // scratch is thread-local, and a kNilNode result is advisory (it can miss a
 // variant inserted concurrently; the serving layer re-checks under the
-// lock). The "last encoded call" accessors read the calling thread's own
-// scratch, valid until that thread's next walk.
+// lock). DecodeLastCall reads the calling thread's own scratch, valid until
+// that thread's next walk.
 class CallTrie {
  public:
   explicit CallTrie(InternTable* interns) : interns_(interns) {}
@@ -38,12 +39,11 @@ class CallTrie {
   CallTrie& operator=(const CallTrie&) = delete;
 
   // Walks (and extends) the trie for the call `goal`; returns its leaf.
-  // Afterwards last_tokens()/last_num_vars() describe the encoded call.
   TokenTrie::NodeId LookupOrInsert(const TermStore& store, Word goal);
 
   // Lookup-only walk; TokenTrie::kNilNode if no variant of `goal` was ever
   // inserted. Never mutates the trie or the intern store: ground compounds
-  // are probed with InternTable::FindNode, and a compound that was never
+  // are probed with InternTable::ProbeHeap, and a compound that was never
   // interned cannot occur in any stored call.
   TokenTrie::NodeId Probe(const TermStore& store, Word goal) const;
 
@@ -53,12 +53,6 @@ class CallTrie {
   void set_payload(TokenTrie::NodeId leaf, uint32_t payload) {
     trie_.set_payload(leaf, payload);
   }
-
-  // Token stream / variable count of the call most recently encoded by
-  // LookupOrInsert or Probe *on this thread* (scratch: valid until the
-  // calling thread's next walk).
-  const std::vector<Word>& last_tokens() const;
-  uint32_t last_num_vars() const;
 
   // Canonical FlatTerm of the last encoded call (the subgoal's answer
   // template); only needed on the miss path when a new subgoal is created.
@@ -71,24 +65,14 @@ class CallTrie {
 
  private:
   // Per-thread walk scratch (see class comment).
-  struct WalkScratch {
-    std::vector<Word> tokens;
-    std::vector<uint64_t> var_cells;
-    bool probe_miss = false;
-  };
-  static WalkScratch& Scratch();
+  static TokenScratch& Scratch();
 
-  // Tokenizes the subterm `t` into scratch.tokens; returns whether it was
-  // ground (in which case it contributed exactly one token). With
-  // `probing`, uses lookup-only interning and sets scratch.probe_miss
-  // instead of interning fresh compounds.
-  bool EncodeHeapSubterm(const TermStore& store, Word t, bool probing,
-                         WalkScratch& scratch) const;
-  // Open-encodes the whole call (top functor kept as its own token, as in
-  // AnswerTrie streams) into scratch.tokens. Returns false if a probing
-  // encode hit a never-interned ground compound.
+  // Tokenizes the whole call into the scratch: the top functor is kept as
+  // its own token (as in AnswerTrie streams), each argument is encoded.
+  // With `probing`, interns nothing and returns false on a never-interned
+  // ground compound.
   bool EncodeCall(const TermStore& store, Word goal, bool probing,
-                  WalkScratch& scratch) const;
+                  TokenScratch* scratch) const;
 
   InternTable* interns_;
   TokenTrie trie_;

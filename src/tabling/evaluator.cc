@@ -252,7 +252,8 @@ void Evaluator::OnIncrementalDeclaration(FunctorId /*functor*/) {
 
 Word Evaluator::BuildConsumerTerm(Word goal, const GoalNode* cont) {
   TermStore* store = machine_->store();
-  std::vector<Word> goals;
+  std::vector<Word>& goals = goals_scratch_;
+  goals.clear();
   for (const GoalNode* n = cont; n != nullptr; n = n->next) {
     goals.push_back(n->goal);
   }
@@ -293,7 +294,7 @@ TabledCallHandler::CallOutcome Evaluator::OnTabledCall(
     return CallOutcome::kError;
   }
 
-  if (batches_.empty()) {
+  if (num_batches_ == 0) {
     // Top-level call. The warm path — table already complete and valid —
     // is fully lock-free; it is the path concurrent serving scales on.
     if (TryServeWarm(machine, goal, cont)) {
@@ -331,7 +332,7 @@ TabledCallHandler::CallOutcome Evaluator::OnTabledCall(
 
   // In-batch call: widen this batch's shard ownership to cover the callee
   // before touching its tables (stale reach masks are repaired here).
-  Batch& batch = batches_.back();
+  Batch& batch = batches_[num_batches_ - 1];
   Status own = EnsureOwnedForCall(*functor);
   if (!own.ok()) {
     machine->SetError(own);
@@ -375,7 +376,9 @@ TabledCallHandler::CallOutcome Evaluator::OnTabledCall(
   Consumer consumer;
   consumer.producer = id;
   consumer.owner = caller;
-  consumer.saved = Flatten(*store, BuildConsumerTerm(goal, cont));
+  // Flattened into the warm scratch, then copied out at its exact size.
+  FlattenInto(*store, BuildConsumerTerm(goal, cont), &consumer_scratch_);
+  consumer.saved = consumer_scratch_;
   batch.consumers.push_back(std::move(consumer));
   ++tables_->stats().consumer_suspensions;
   return CallOutcome::kFail;
@@ -403,8 +406,8 @@ TabledCallHandler::CallOutcome Evaluator::OnTabledAnswer(Machine* machine,
   // and answers later retired by a replacement were valid when stored.
   if (fresh) CheckAnswerModes(id, call_instance);
 #endif
-  if (fresh && !batches_.empty()) {
-    Batch& batch = batches_.back();
+  if (fresh && num_batches_ != 0) {
+    Batch& batch = batches_[num_batches_ - 1];
     if (batch.stop_on_answer == id) {
       // Existential negation: one answer suffices; abandon the batch.
       batch.aborted = true;
@@ -464,7 +467,8 @@ Status Evaluator::ResumeConsumer(size_t batch_index, size_t consumer_index) {
   Word list = store->Deref(store->Arg(pair, 1));
 
   // Rebuild the continuation chain, once for the whole pass.
-  std::vector<Word> goals;
+  std::vector<Word>& goals = goals_scratch_;
+  goals.clear();
   FunctorId cons = symbols->InternFunctor(symbols->dot(), 2);
   while (IsStruct(list) && store->StructFunctor(list) == cons) {
     goals.push_back(store->Arg(list, 0));
@@ -536,13 +540,16 @@ Status Evaluator::EvaluateToCompletion(Word goal, FunctorId functor,
                                        SubgoalId* root_out) {
   TermStore* store = machine_->store();
   ++stats_.batches;
-  batches_.push_back(Batch{tables_->NextBatchId(),
-                           {},
-                           {},
-                           {},
-                           kNoSubgoal,
-                           false});
-  size_t batch_index = batches_.size() - 1;
+  if (num_batches_ == batches_.size()) batches_.emplace_back();
+  size_t batch_index = num_batches_++;
+  {
+    Batch& open = batches_[batch_index];
+    open.id = tables_->NextBatchId();
+    open.subgoals.clear();
+    open.generator_queue.clear();
+    open.stop_on_answer = kNoSubgoal;
+    open.aborted = false;
+  }
 
   auto [root, created] =
       tables_->LookupOrCreate(*store, goal, functor, batches_[batch_index].id,
@@ -577,7 +584,8 @@ Status Evaluator::EvaluateToCompletion(Word goal, FunctorId functor,
     }
     tables_->NotifyCompletion();
   }
-  batches_.pop_back();
+  batch.consumers.clear();
+  --num_batches_;
   *has_answer = answered;
   *root_out = root;
   return status;
@@ -586,7 +594,7 @@ Status Evaluator::EvaluateToCompletion(Word goal, FunctorId functor,
 Status Evaluator::Complete(Word goal, FunctorId functor, bool existential,
                            const AnswerTable** table, bool* has_answer) {
   TermStore* store = machine_->store();
-  if (!batches_.empty()) {
+  if (num_batches_ != 0) {
     // In-batch: once this batch owns the callee's shards, an incomplete
     // table seen here can only belong to this thread's own (enclosing)
     // batch — a genuine stratification violation, never another session's
@@ -677,7 +685,7 @@ bool Evaluator::AbolishTableCall(Machine* machine, Word goal) {
   std::optional<FunctorId> functor = Program::CallableFunctor(*store, goal);
   ShardMask need =
       functor.has_value() ? ReachMask(*functor, goal) : kAllEvalShards;
-  if (batches_.empty()) {
+  if (num_batches_ == 0) {
     ShardLease lease(tables_, need);
     SubgoalId id = tables_->Lookup(*store, goal);
     if (id == kNoSubgoal) return false;
@@ -735,7 +743,7 @@ TabledCallHandler::TableStatsInfo Evaluator::GetTableStats(Machine* machine,
   // aggregate walks stay exact, byte totals report 0.
   ShardMask added = kAllEvalShards & ~owned_shards_;
   bool exclusive;
-  if (batches_.empty()) {
+  if (num_batches_ == 0) {
     tables_->AcquireShards(added);
     exclusive = true;
   } else {

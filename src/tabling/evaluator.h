@@ -126,7 +126,7 @@ class Evaluator : public TabledCallHandler, public TableUpdateListener {
 
  private:
   struct Batch {
-    uint64_t id;
+    uint64_t id = 0;
     std::vector<SubgoalId> subgoals;
     std::vector<Consumer> consumers;
     std::vector<SubgoalId> generator_queue;
@@ -224,7 +224,10 @@ class Evaluator : public TabledCallHandler, public TableUpdateListener {
   TableSpace* tables_;
   bool early_completion_;
   bool incremental_;
+  // The open batches are batches_[0, num_batches_), innermost last. Closed
+  // batch slots are kept and reopened, so their vectors stay warm.
   std::vector<Batch> batches_;
+  size_t num_batches_ = 0;
   // Evaluation shards this session currently holds. Nonzero exactly while a
   // top-level cold evaluation (and its nested batches) runs; the session is
   // single-threaded, so no synchronization is needed on the member itself.
@@ -232,6 +235,11 @@ class Evaluator : public TabledCallHandler, public TableUpdateListener {
   // Subgoals whose evaluation frames are active, innermost last.
   std::vector<SubgoalId> eval_stack_;
   EvalStats stats_;
+  // Consumer suspension and resumption scratch, reused so that neither
+  // grows fresh vectors. Each is fully consumed before anything that could
+  // re-enter the evaluator runs.
+  std::vector<Word> goals_scratch_;
+  FlatTerm consumer_scratch_;
 
   FunctorId f_resolve_clauses_, f_tabled_answer_, f_consumer_;
 };

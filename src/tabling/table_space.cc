@@ -16,29 +16,29 @@ bool AnswerTrie::Insert(const TermStore& store, Word instance,
   // Factor `instance` against the template in one lockstep walk: the
   // template's flat cells are traversed in preorder while the work stack
   // tracks the corresponding heap subterms. At a template variable's first
-  // occurrence the heap subterm is its binding — flattened into the binding
-  // stream (shared variable numbering across segments); repeated occurrences
-  // necessarily carry the same binding (the instance is the unflattened
-  // template, instantiated) and are skipped. Non-variable template cells
-  // match the instance's skeleton by construction.
-  bindings_scratch_.clear();
-  var_scratch_.clear();
+  // occurrence the heap subterm is its binding — tokenized straight from the
+  // heap into the binding stream (shared variable numbering across
+  // segments); repeated occurrences necessarily carry the same binding (the
+  // instance is the unflattened template, instantiated) and are skipped.
+  // Non-variable template cells match the instance's skeleton by
+  // construction.
+  encode_scratch_.Reset();
   walk_scratch_.clear();
   walk_scratch_.push_back(instance);
   const SymbolTable& symbols = interns_->symbols();
-  size_t full_cells = 0;  // cells a full (unfactored) flatten would store
-  size_t next_ord = 0;
-  seg_scratch_.clear();  // per-ordinal binding segment length
+  size_t full_cells = 0;     // cells a full (unfactored) flatten would store
+  size_t binding_cells = 0;  // cells of the binding stream, flattened
+  seg_scratch_.clear();      // per-ordinal binding length in flat cells
   for (Word tc : template_.cells) {
     Word x = walk_scratch_.back();
     walk_scratch_.pop_back();
     if (IsLocal(tc)) {
       uint64_t ord = PayloadOf(tc);
-      if (ord == next_ord) {
-        size_t before = bindings_scratch_.size();
-        FlattenAppend(store, x, &bindings_scratch_, &var_scratch_);
-        seg_scratch_.push_back(bindings_scratch_.size() - before);
-        ++next_ord;
+      if (ord == seg_scratch_.size()) {
+        size_t cells = 0;
+        interns_->EncodeHeap(store, x, &encode_scratch_, &cells);
+        seg_scratch_.push_back(cells);
+        binding_cells += cells;
       }
       full_cells += seg_scratch_[ord];
     } else {
@@ -53,9 +53,8 @@ bool AnswerTrie::Insert(const TermStore& store, Word instance,
     }
   }
 
-  interns_->Encode(bindings_scratch_, &encode_scratch_);
   TokenTrie::NodeId node = TokenTrie::root();
-  for (Word token : encode_scratch_) {
+  for (Word token : encode_scratch_.tokens) {
     node = trie_.Extend(node, token, nullptr);
   }
   if (trie_.payload(node) != TokenTrie::kNoPayload) {  // duplicate
@@ -65,38 +64,45 @@ bool AnswerTrie::Insert(const TermStore& store, Word instance,
   // Publication order: link the leaf, then release the new answer count —
   // a concurrent enumerator that observes size() >= k finds answer k-1
   // fully formed.
-  size_t i =
-      leaves_.EmplaceBack(node, static_cast<uint32_t>(var_scratch_.size()));
+  size_t i = leaves_.EmplaceBack(node, encode_scratch_.num_vars());
   trie_.set_payload(node, static_cast<uint32_t>(i));
   num_answers_.store(i + 1, std::memory_order_release);
-  if (saved_cells != nullptr) {
-    *saved_cells = full_cells - bindings_scratch_.size();
-  }
+  if (saved_cells != nullptr) *saved_cells = full_cells - binding_cells;
   if (index != nullptr) *index = i;
   return true;
 }
 
-void AnswerTrie::ExpandLeaf(size_t i, std::vector<Word>* out) const {
-  std::vector<Word>& path = Scratch().path;
-  path.clear();
+void AnswerTrie::LeafPath(size_t i, std::vector<Word>* path) const {
+  path->clear();
   for (TokenTrie::NodeId n = leaves_[i].node; n != TokenTrie::root();
        n = trie_.parent(n)) {
-    path.push_back(trie_.token(n));
+    path->push_back(trie_.token(n));
   }
-  out->clear();
-  for (auto it = path.rbegin(); it != path.rend(); ++it) {
-    interns_->AppendExpansion(*it, out);
-  }
+  std::reverse(path->begin(), path->end());
 }
 
-void AnswerTrie::ReadBindings(size_t i, FlatTerm* out) const {
-  ExpandLeaf(i, &out->cells);
-  out->num_vars = leaves_[i].num_vars;
+bool AnswerTrie::UnifyBindings(size_t i, TermStore* store,
+                               uint64_t template_vars) const {
+  ReadScratch& scratch = Scratch();
+  LeafPath(i, &scratch.path);
+  scratch.vars.assign(leaves_[i].num_vars, kNoVar);
+  size_t pos = 0;
+  for (uint32_t k = 0; k < template_.num_vars; ++k) {
+    if (!UnifyTokens(store, interns_, scratch.path.data(), &pos,
+                     RefCell(template_vars + k), &scratch.vars)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void AnswerTrie::ReadAnswer(size_t i, FlatTerm* out) const {
   ReadScratch& scratch = Scratch();
-  ExpandLeaf(i, &scratch.expand);
+  LeafPath(i, &scratch.path);
+  scratch.expand.clear();
+  for (Word token : scratch.path) {
+    interns_->AppendExpansion(token, &scratch.expand);
+  }
   out->cells.clear();
   out->num_vars = leaves_[i].num_vars;
   // Splice binding segments back into the template. First occurrences of
@@ -126,9 +132,15 @@ void AnswerTrie::ReadAnswer(size_t i, FlatTerm* out) const {
   }
 }
 
+void AnswerTrie::Clear() {
+  trie_.Clear();
+  leaves_.Clear();
+  num_answers_.store(0, std::memory_order_release);
+}
+
 size_t AnswerTrie::bytes() const {
-  return trie_.bytes() + leaves_.bytes() +
-         template_.cells.capacity() * sizeof(Word);
+  return trie_.used_bytes() + leaves_.used_bytes() +
+         template_.cells.size() * sizeof(Word);
 }
 
 void AnswerTable::RetireAnswerAt(size_t i) {
@@ -215,8 +227,16 @@ void AnswerTable::ReadAnswer(size_t i, FlatTerm* out) const {
   trie_.ReadAnswer(i, out);
 }
 
-void AnswerTable::ReadBindings(size_t i, FlatTerm* out) const {
-  trie_.ReadBindings(i, out);
+void AnswerTable::Clear() {
+  trie_.Clear();
+  num_retired_.store(0, std::memory_order_relaxed);
+  agg_index_.clear();
+}
+
+void AnswerTable::Reopen(const FlatTerm& call_template,
+                         const TableSpec& spec) {
+  trie_.set_call_template(call_template);
+  spec_ = spec;
 }
 
 size_t AnswerTable::bytes() const {
@@ -294,7 +314,17 @@ AnswerInsert TableSpace::AddAnswer(SubgoalId id, const TermStore& store,
 }
 
 AnswerTable* TableSpace::NewAnswerTable(const Subgoal& sg) {
-  return new AnswerTable(&interns_, sg.call, sg.spec);
+  std::unique_ptr<AnswerTable> table;
+  {
+    std::lock_guard<std::mutex> lock(retired_mutex_);
+    if (!recycled_.empty()) {
+      table = std::move(recycled_.back());
+      recycled_.pop_back();
+    }
+  }
+  if (table == nullptr) return new AnswerTable(&interns_, sg.call, sg.spec);
+  table->Reopen(sg.call, sg.spec);
+  return table.release();
 }
 
 void TableSpace::RetireAnswers(Subgoal& sg, AnswerTable* replacement) {
@@ -429,15 +459,31 @@ void TableSpace::ResetForReevaluation(SubgoalId id, uint64_t batch_id) {
 }
 
 void TableSpace::ReleaseRetiredAnswers() {
+  // One scan of the epoch slots for the whole sweep: a stamp below the
+  // minimum announced epoch is past every reader.
+  uint64_t min_active = epochs_.MinActive();
+  std::vector<std::unique_ptr<AnswerTable>> reclaimed;
+  {
+    std::lock_guard<std::mutex> lock(retired_mutex_);
+    auto kept = std::partition(
+        retired_answers_.begin(), retired_answers_.end(),
+        [min_active](const Retired& r) { return r.stamp >= min_active; });
+    reclaimed.reserve(static_cast<size_t>(retired_answers_.end() - kept));
+    for (auto it = kept; it != retired_answers_.end(); ++it) {
+      reclaimed.push_back(std::move(it->table));
+    }
+    retired_answers_.erase(kept, retired_answers_.end());
+    stats_.epochs_retired += reclaimed.size();
+  }
+  if (reclaimed.empty()) return;
+  // Clear outside the lock (a large table takes a while to free), then
+  // park what fits; the rest is freed with `reclaimed`.
+  for (std::unique_ptr<AnswerTable>& table : reclaimed) table->Clear();
   std::lock_guard<std::mutex> lock(retired_mutex_);
-  size_t before = retired_answers_.size();
-  retired_answers_.erase(
-      std::remove_if(retired_answers_.begin(), retired_answers_.end(),
-                     [this](const Retired& r) {
-                       return epochs_.SafeToReclaim(r.stamp);
-                     }),
-      retired_answers_.end());
-  stats_.epochs_retired += before - retired_answers_.size();
+  for (std::unique_ptr<AnswerTable>& table : reclaimed) {
+    if (recycled_.size() == kMaxRecycledTables) break;
+    recycled_.push_back(std::move(table));
+  }
 }
 
 size_t TableSpace::num_retired_answers() const {

@@ -49,11 +49,17 @@ enum class AnswerInsert : uint8_t {
 // An answer of subgoal `path(1,Y)` is not stored as the full instance
 // `path(1,5)` — only the *bindings of the call's variables* (here `Y = 5`)
 // enter the trie, as a token stream over the shared InternTable (ground
-// compound bindings collapse to kInterned cells). The call itself is kept
-// once as the answer template; one downward walk both checks and inserts an
-// answer, and read-back either returns the raw binding stream (ReadBindings,
-// the factored consumer path) or splices the segments back into the template
-// (ReadAnswer, for callers that need the full instance).
+// compound bindings collapse to kInterned tokens). The call itself is kept
+// once as the answer template.
+//
+// Both directions are one walk each (Swift & Warren's "XSB: Extending Prolog
+// with Tabled Logic Programming"): Insert tokenizes the bindings straight
+// from the heap (InternTable::EncodeHeap, the encoder the call trie uses)
+// and then steps down the trie, so a duplicate allocates nothing; the
+// factored return (UnifyBindings) unifies the consumer's template variables
+// straight from the leaf's token path (UnifyTokens), building heap structure
+// only where a consumer variable is unbound. ReadAnswer splices a full
+// instance for callers that need one.
 //
 // Concurrency: Insert runs only from the evaluation batch that owns the
 // subgoal's shard (answers are only added to incomplete tables, and shard
@@ -95,13 +101,26 @@ class AnswerTrie {
   // segments into the call template, reusing out's buffers.
   void ReadAnswer(size_t i, FlatTerm* out) const;
 
-  // Reads answer `i` as its raw binding stream: the flattened bindings of
-  // the template's variables, concatenated in ordinal order.
-  void ReadBindings(size_t i, FlatTerm* out) const;
+  // Unifies answer `i`'s binding of template variable k with the heap cell
+  // template_vars + k, for every k in ordinal order; false at the first
+  // clash (bindings stay trailed for the caller to undo).
+  bool UnifyBindings(size_t i, TermStore* store, uint64_t template_vars) const;
 
   const FlatTerm& call_template() const { return template_; }
 
+  // Drops every answer, keeping the first block of each arena (a recycled
+  // table's warm storage). Requires quiescence, like destruction.
+  void Clear();
+  // Installs the template of a cleared trie.
+  void set_call_template(const FlatTerm& call_template) {
+    template_.cells.assign(call_template.cells.begin(),
+                           call_template.cells.end());
+    template_.num_vars = call_template.num_vars;
+  }
+
   size_t node_count() const { return trie_.node_count(); }
+  // Bytes of a fresh trie holding these answers: storage a cleared trie
+  // keeps for reuse is not counted, so recycling never moves table_bytes.
   size_t bytes() const;
 
  private:
@@ -121,11 +140,12 @@ class AnswerTrie {
     std::vector<Word> path;
     std::vector<Word> expand;
     std::vector<size_t> seg;
+    std::vector<Word> vars;
   };
   static ReadScratch& Scratch();
 
-  // Expands leaf `i`'s root-to-leaf token path into flat cells.
-  void ExpandLeaf(size_t i, std::vector<Word>* out) const;
+  // Answer `i`'s token stream, root to leaf, into *path.
+  void LeafPath(size_t i, std::vector<Word>* path) const;
 
   InternTable* interns_;
   FlatTerm template_;
@@ -137,10 +157,8 @@ class AnswerTrie {
   // reader that observes size() >= k can read answers [0, k) lock-free.
   std::atomic<size_t> num_answers_{0};
   // Insert scratch (single mutator: the batch owning the subgoal's shard).
-  std::vector<Word> bindings_scratch_;
-  std::vector<uint64_t> var_scratch_;
+  TokenScratch encode_scratch_;
   std::vector<Word> walk_scratch_;
-  std::vector<Word> encode_scratch_;
   std::vector<size_t> seg_scratch_;
 };
 
@@ -184,11 +202,21 @@ class AnswerTable : public AnswerSource {
   const FlatTerm* answer_template() const override {
     return &trie_.call_template();
   }
-  void ReadBindings(size_t i, FlatTerm* out) const override;
+  bool UnifyBindings(size_t i, TermStore* store,
+                     uint64_t template_vars) const override {
+    return trie_.UnifyBindings(i, store, template_vars);
+  }
 
   bool empty() const { return size() == 0; }
 
   const TableSpec& spec() const { return spec_; }
+
+  // Recycling (TableSpace's free list): Clear drops every answer of a table
+  // no reader can reach any more; Reopen then gives the cleared table the
+  // call and spec of a new subgoal. A reopened table is indistinguishable
+  // from a fresh one, bytes() included.
+  void Clear();
+  void Reopen(const FlatTerm& call_template, const TableSpec& spec);
 
   size_t trie_nodes() const { return trie_.node_count(); }
   size_t bytes() const;
@@ -440,9 +468,10 @@ class TableSpace {
   // shard.
   void ResetForReevaluation(SubgoalId id, uint64_t batch_id);
 
-  // Frees retired answer tables whose epoch stamp every serving thread has
-  // passed. With no active epoch slots (the single-threaded engine) that is
-  // all of them — the engine calls this between top-level queries.
+  // Reclaims retired answer tables whose epoch stamp every serving thread
+  // has passed: they are cleared onto the recycling free list, or freed once
+  // it is full. With no active epoch slots (the single-threaded engine)
+  // that is all of them — the engine calls this between top-level queries.
   void ReleaseRetiredAnswers();
   size_t num_retired_answers() const;
 
@@ -516,7 +545,8 @@ class TableSpace {
   const TableStats& stats() const { return stats_; }
 
  private:
-  // A fresh empty answer table for `sg`'s call and spec.
+  // An empty answer table for `sg`'s call and spec: a recycled one when the
+  // free list has one, else a new one.
   AnswerTable* NewAnswerTable(const Subgoal& sg);
   // Retires `sg`'s current answer table (epoch-stamped limbo) and installs
   // `replacement` (null only when the subgoal is about to be destroyed).
@@ -541,6 +571,13 @@ class TableSpace {
   };
   mutable std::mutex retired_mutex_;
   std::vector<Retired> retired_answers_;
+  // Reclaimed tables, cleared for reuse by NewAnswerTable instead of being
+  // freed: cold evaluation creates and drops dozens of tables per query.
+  // Only tables every reader has provably left (the epoch test above) get
+  // here, on the engine and the service alike. Guarded by retired_mutex_;
+  // at most kMaxRecycledTables, each holding only its first blocks.
+  static constexpr size_t kMaxRecycledTables = 256;
+  std::vector<std::unique_ptr<AnswerTable>> recycled_;
   EpochManager epochs_;
 
   // Shard scheduler: which evaluation shards are held by some batch.

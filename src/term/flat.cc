@@ -1,8 +1,74 @@
 #include "term/flat.h"
 
-#include <unordered_map>
+#include "term/intern.h"
 
 namespace xsb {
+
+namespace {
+
+// Work item of BuildTokens: heap cell `dest` receives either the next term
+// of the stream (token == kFromStream) or `token` itself, an argument of an
+// interned compound being expanded.
+struct BuildSlot {
+  uint64_t dest;
+  Word token;
+};
+constexpr Word kFromStream = 0;  // a kRef cell: never a token
+
+// Per-thread work stacks of the walks in this file, kept warm across calls
+// so a walk allocates only when a term is deeper than any seen before. Each
+// walk uses its own stack from its entry size up, so walks may nest.
+struct WalkStacks {
+  std::vector<Word> flatten;
+  std::vector<uint64_t> flatten_vars;
+  std::vector<BuildSlot> build;
+  std::vector<Word> unify;
+  std::vector<std::pair<Word, Word>> ground;  // (token, heap term)
+  std::vector<Word> unflatten_vars;
+};
+
+WalkStacks& Stacks() {
+  static thread_local WalkStacks stacks;
+  return stacks;
+}
+
+// Unifies the ground token `token` (atomic or kInterned) with heap term `t`.
+bool UnifyGroundToken(TermStore* store, const InternTable* interns,
+                      Word token, Word t) {
+  std::vector<std::pair<Word, Word>>& work = Stacks().ground;
+  size_t base = work.size();
+  work.emplace_back(token, t);
+  while (work.size() > base) {
+    auto [tk, x] = work.back();
+    work.pop_back();
+    Word d = store->Deref(x);
+    if (IsRef(d)) {
+      size_t pos = 0;
+      store->Bind(d, BuildTokens(store, interns, &tk, &pos, nullptr));
+      continue;
+    }
+    if (!IsInterned(tk)) {
+      if (d != tk) {
+        work.resize(base);
+        return false;
+      }
+      continue;
+    }
+    InternId id = InternIdOf(tk);
+    FunctorId f = interns->FunctorOfId(id);
+    if (!IsStruct(d) || store->StructFunctor(d) != f) {
+      work.resize(base);
+      return false;
+    }
+    const Word* args = interns->ArgsOfId(id);
+    for (int i = interns->ArityOfId(id) - 1; i >= 0; --i) {
+      work.emplace_back(args[i], store->Arg(d, i));
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 void FlattenAppend(const TermStore& store, Word t, std::vector<Word>* out,
                    std::vector<uint64_t>* var_cells) {
@@ -10,8 +76,10 @@ void FlattenAppend(const TermStore& store, Word t, std::vector<Word>* out,
   // handful of variables, so a linear scan beats a hash map here.
   // Preorder walk. The work stack holds cells still to emit; children are
   // pushed in reverse so they pop in order.
-  std::vector<Word> work{t};
-  while (!work.empty()) {
+  std::vector<Word>& work = Stacks().flatten;
+  size_t base = work.size();
+  work.push_back(t);
+  while (work.size() > base) {
     Word x = store.Deref(work.back());
     work.pop_back();
     switch (TagOf(x)) {
@@ -58,59 +126,138 @@ FlatTerm Flatten(const TermStore& store, Word t) {
 bool FlattenInto(const TermStore& store, Word t, FlatTerm* out) {
   size_t cap_before = out->cells.capacity();
   out->cells.clear();
-  std::vector<uint64_t> var_cells;
+  std::vector<uint64_t>& var_cells = Stacks().flatten_vars;
+  var_cells.clear();
   FlattenAppend(store, t, &out->cells, &var_cells);
   out->num_vars = static_cast<uint32_t>(var_cells.size());
   return out->cells.capacity() == cap_before;
 }
 
-namespace {
-
-// Rebuilds the subterm starting at stream position *pos; advances *pos.
-Word UnflattenAt(TermStore* store, const FlatTerm& flat, size_t* pos,
-                 std::vector<Word>* vars) {
-  Word w = flat.cells[(*pos)++];
-  switch (TagOf(w)) {
-    case Tag::kLocal: {
-      uint64_t ord = PayloadOf(w);
-      Word& slot = (*vars)[ord];
-      if (slot == 0) slot = store->MakeVar();
-      return slot;
-    }
-    case Tag::kAtom:
-    case Tag::kInt:
-      return w;
-    case Tag::kFunctor: {
-      FunctorId f = FunctorOf(w);
-      int arity = store->symbols()->FunctorArity(f);
-      // Allocate the struct block first so nested blocks land after it; the
-      // args are patched as they are built.
+Word BuildTokens(TermStore* store, const InternTable* interns,
+                 const Word* tokens, size_t* pos, std::vector<Word>* vars) {
+  const SymbolTable& symbols = *store->symbols();
+  std::vector<BuildSlot>& work = Stacks().build;
+  size_t base = work.size();
+  // Allocates the struct block of a compound token and queues its argument
+  // cells, first argument on top (stream order is preorder).
+  auto open = [&](Word token) {
+    if (IsFunctor(token)) {
+      FunctorId f = FunctorOf(token);
       Word s = store->MakeStructUninit(f);
-      for (int i = 0; i < arity; ++i) {
-        Word a = UnflattenAt(store, flat, pos, vars);
-        store->SetArg(s, i, a);
+      for (int i = symbols.FunctorArity(f) - 1; i >= 0; --i) {
+        work.push_back(BuildSlot{store->ArgIndex(s, i), kFromStream});
       }
       return s;
     }
-    default:
-      return w;  // malformed stream; callers control inputs
+    InternId id = InternIdOf(token);
+    Word s = store->MakeStructUninit(interns->FunctorOfId(id));
+    const Word* args = interns->ArgsOfId(id);
+    for (int i = interns->ArityOfId(id) - 1; i >= 0; --i) {
+      work.push_back(BuildSlot{store->ArgIndex(s, i), args[i]});
+    }
+    return s;
+  };
+
+  Word root = tokens[(*pos)++];
+  Word result = root;
+  if (IsFunctor(root) || IsInterned(root)) {
+    result = open(root);
+  } else if (IsLocal(root)) {
+    Word& v = (*vars)[PayloadOf(root)];
+    if (v == kNoVar) v = store->MakeVar();
+    result = v;
   }
+  while (work.size() > base) {
+    BuildSlot slot = work.back();
+    work.pop_back();
+    Word token = slot.token == kFromStream ? tokens[(*pos)++] : slot.token;
+    Word value = token;
+    if (IsFunctor(token) || IsInterned(token)) {
+      value = open(token);
+    } else if (IsLocal(token)) {
+      Word& v = (*vars)[PayloadOf(token)];
+      if (v == kNoVar) {
+        // The argument cell, still unbound, is the fresh variable.
+        v = RefCell(slot.dest);
+        continue;
+      }
+      value = v;
+    }
+    store->At(slot.dest) = value;
+  }
+  return result;
 }
 
-}  // namespace
+bool UnifyTokens(TermStore* store, const InternTable* interns,
+                 const Word* tokens, size_t* pos, Word t,
+                 std::vector<Word>* vars) {
+  // Heap terms awaiting the next term of the stream, first argument on top.
+  std::vector<Word>& work = Stacks().unify;
+  size_t base = work.size();
+  work.push_back(t);
+  bool ok = true;
+  while (ok && work.size() > base) {
+    Word x = work.back();
+    work.pop_back();
+    Word token = tokens[*pos];
+    switch (TagOf(token)) {
+      case Tag::kLocal: {
+        ++*pos;
+        Word& v = (*vars)[PayloadOf(token)];
+        if (v == kNoVar) {
+          v = x;
+        } else {
+          ok = store->Unify(v, x);
+        }
+        break;
+      }
+      case Tag::kFunctor: {
+        Word d = store->Deref(x);
+        if (IsRef(d)) {
+          store->Bind(d, BuildTokens(store, interns, tokens, pos, vars));
+          break;
+        }
+        FunctorId f = FunctorOf(token);
+        if (!IsStruct(d) || store->StructFunctor(d) != f) {
+          ok = false;
+          break;
+        }
+        ++*pos;
+        for (int i = store->symbols()->FunctorArity(f) - 1; i >= 0; --i) {
+          work.push_back(store->Arg(d, i));
+        }
+        break;
+      }
+      case Tag::kInterned:
+        ++*pos;
+        ok = UnifyGroundToken(store, interns, token, x);
+        break;
+      default: {  // atom or int
+        ++*pos;
+        Word d = store->Deref(x);
+        if (IsRef(d)) {
+          store->Bind(d, token);
+        } else {
+          ok = d == token;
+        }
+        break;
+      }
+    }
+  }
+  work.resize(base);
+  return ok;
+}
 
 Word Unflatten(TermStore* store, const FlatTerm& flat,
                std::vector<Word>* vars) {
-  std::vector<Word> local_vars;
-  if (vars == nullptr) vars = &local_vars;
-  if (vars->size() < flat.num_vars) vars->resize(flat.num_vars, 0);
+  if (vars == nullptr) {
+    vars = &Stacks().unflatten_vars;
+    vars->assign(flat.num_vars, kNoVar);
+  } else if (vars->size() < flat.num_vars) {
+    vars->resize(flat.num_vars, kNoVar);
+  }
   size_t pos = 0;
-  return UnflattenAt(store, flat, &pos, vars);
-}
-
-Word UnflattenNext(TermStore* store, const FlatTerm& flat, size_t* pos,
-                   std::vector<Word>* vars) {
-  return UnflattenAt(store, flat, pos, vars);
+  return BuildTokens(store, nullptr, flat.cells.data(), &pos, vars);
 }
 
 bool FlatTopFunctor(const FlatTerm& flat, FunctorId* functor) {

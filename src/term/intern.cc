@@ -125,83 +125,85 @@ void InternTable::GrowIfNeeded() {
   for (size_t s = kShards; s-- > 0;) shard_mutex_[s].unlock();
 }
 
-Word InternTable::InternSubterm(const std::vector<Word>& cells, size_t pos,
-                                size_t* end) {
-  Word w = cells[pos];
-  if (!IsFunctor(w)) {
-    // Ground atomic cell (atom or int): already canonical.
-    if (end != nullptr) *end = pos + 1;
-    return w;
+template <typename NodeFn>
+bool InternTable::EncodeWalk(const TermStore& store, Word t,
+                             TokenScratch* scratch, size_t* flat_cells,
+                             NodeFn node) {
+  // Preorder walk on an explicit stack of open compounds. A compound's
+  // functor token is emitted speculatively; every ground argument collapses
+  // to exactly one token, so when a compound closes ground its arguments
+  // sit in tokens[mark+1 .. mark+arity] and are replaced by one kInterned
+  // token. Compounds are interned bottom-up, children first.
+  const SymbolTable& symbols = *store.symbols();
+  std::vector<Word>& tokens = scratch->tokens;
+  std::vector<uint64_t>& var_cells = scratch->var_cells;
+  std::vector<TokenScratch::Frame>& frames = scratch->frames;
+  frames.clear();
+  size_t cells = 0;
+  Word x = store.Deref(t);
+  for (;;) {
+    ++cells;
+    if (IsStruct(x)) {
+      FunctorId f = store.StructFunctor(x);
+      frames.push_back(TokenScratch::Frame{
+          x, static_cast<uint32_t>(tokens.size()), 0,
+          symbols.FunctorArity(f), true});
+      tokens.push_back(FunctorCell(f));
+    } else {
+      bool ground = true;
+      if (IsRef(x)) {
+        uint64_t cell = PayloadOf(x);
+        size_t ordinal = var_cells.size();
+        for (size_t i = 0; i < var_cells.size(); ++i) {
+          if (var_cells[i] == cell) {
+            ordinal = i;
+            break;
+          }
+        }
+        if (ordinal == var_cells.size()) var_cells.push_back(cell);
+        x = LocalCell(ordinal);
+        ground = false;
+      }
+      tokens.push_back(x);
+      if (frames.empty()) break;
+      frames.back().ground = frames.back().ground && ground;
+    }
+    // Close every compound whose arguments are all encoded.
+    while (!frames.empty() && frames.back().next == frames.back().arity) {
+      TokenScratch::Frame done = frames.back();
+      frames.pop_back();
+      if (done.ground) {
+        Word token = node(FunctorOf(tokens[done.mark]),
+                          tokens.data() + done.mark + 1, done.arity);
+        if (token == kNoToken) return false;
+        tokens.resize(done.mark);
+        tokens.push_back(token);
+      } else if (!frames.empty()) {
+        frames.back().ground = false;
+      }
+    }
+    if (frames.empty()) break;
+    TokenScratch::Frame& top = frames.back();
+    x = store.Deref(store.Arg(top.term, top.next++));
   }
-  FunctorId functor = FunctorOf(w);
-  int arity = symbols_->FunctorArity(functor);
-  Word small[8];
-  std::vector<Word> large;
-  Word* args = small;
-  if (arity > 8) {
-    large.resize(static_cast<size_t>(arity));
-    args = large.data();
-  }
-  size_t p = pos + 1;
-  for (int i = 0; i < arity; ++i) {
-    args[i] = InternSubterm(cells, p, &p);
-  }
-  if (end != nullptr) *end = p;
-  return MakeNode(functor, args, arity);
+  if (flat_cells != nullptr) *flat_cells += cells;
+  return true;
 }
 
-bool InternTable::EncodeSubterm(const std::vector<Word>& cells, size_t pos,
-                                size_t* end, std::vector<Word>* out) {
-  Word w = cells[pos];
-  if (!IsFunctor(w)) {
-    out->push_back(w);
-    *end = pos + 1;
-    return !IsLocal(w);
-  }
-  // Emit the functor cell speculatively; every ground argument collapses to
-  // exactly one token, so if the whole subterm turns out ground, the args
-  // sit in out[mark+1 .. mark+arity] and are replaced by one interned token.
-  FunctorId functor = FunctorOf(w);
-  int arity = symbols_->FunctorArity(functor);
-  size_t mark = out->size();
-  out->push_back(w);
-  size_t p = pos + 1;
-  bool ground = true;
-  for (int i = 0; i < arity; ++i) {
-    ground &= EncodeSubterm(cells, p, &p, out);
-  }
-  *end = p;
-  if (ground) {
-    Word token = MakeNode(functor, out->data() + mark + 1, arity);
-    out->resize(mark);
-    out->push_back(token);
-  }
-  return ground;
+void InternTable::EncodeHeap(const TermStore& store, Word t,
+                             TokenScratch* scratch, size_t* flat_cells) {
+  EncodeWalk(store, t, scratch, flat_cells,
+             [this](FunctorId f, const Word* args, int arity) {
+               return MakeNode(f, args, arity);
+             });
 }
 
-void InternTable::Encode(const std::vector<Word>& cells,
-                         std::vector<Word>* out) {
-  out->clear();
-  size_t pos = 0;
-  while (pos < cells.size()) {
-    EncodeSubterm(cells, pos, &pos, out);
-  }
-}
-
-void InternTable::EncodeOpen(const std::vector<Word>& cells,
-                             std::vector<Word>* out) {
-  out->clear();
-  if (cells.empty() || !IsFunctor(cells[0])) {
-    size_t pos = 0;
-    while (pos < cells.size()) EncodeSubterm(cells, pos, &pos, out);
-    return;
-  }
-  out->push_back(cells[0]);
-  int arity = symbols_->FunctorArity(FunctorOf(cells[0]));
-  size_t pos = 1;
-  for (int i = 0; i < arity; ++i) {
-    EncodeSubterm(cells, pos, &pos, out);
-  }
+bool InternTable::ProbeHeap(const TermStore& store, Word t,
+                            TokenScratch* scratch) const {
+  return EncodeWalk(store, t, scratch, nullptr,
+                    [this](FunctorId f, const Word* args, int arity) {
+                      return FindNode(f, args, arity);
+                    });
 }
 
 void InternTable::AppendExpansion(Word token, std::vector<Word>* out) const {
@@ -209,12 +211,25 @@ void InternTable::AppendExpansion(Word token, std::vector<Word>* out) const {
     out->push_back(token);
     return;
   }
-  InternId id = InternIdOf(token);
-  const Node& node = nodes_[id];
-  out->push_back(FunctorCell(node.functor));
-  int arity = symbols_->FunctorArity(node.functor);
-  const Word* args = arg_pool_.at(node.first_arg);
-  for (int i = 0; i < arity; ++i) AppendExpansion(args[i], out);
+  // Preorder expansion on an explicit per-thread stack (readers of one
+  // table may expand concurrently); arguments are pushed in reverse.
+  static thread_local std::vector<Word> work;
+  size_t base = work.size();
+  work.push_back(token);
+  while (work.size() > base) {
+    Word t = work.back();
+    work.pop_back();
+    if (!IsInterned(t)) {
+      out->push_back(t);
+      continue;
+    }
+    const Node& node = nodes_[InternIdOf(t)];
+    out->push_back(FunctorCell(node.functor));
+    const Word* args = arg_pool_.at(node.first_arg);
+    for (int i = symbols_->FunctorArity(node.functor) - 1; i >= 0; --i) {
+      work.push_back(args[i]);
+    }
+  }
 }
 
 FlatTerm InternTable::Decode(const std::vector<Word>& tokens) const {

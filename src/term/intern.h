@@ -11,6 +11,7 @@
 #include "base/concurrent.h"
 #include "term/cell.h"
 #include "term/flat.h"
+#include "term/store.h"
 #include "term/symbols.h"
 
 namespace xsb {
@@ -23,6 +24,29 @@ using InternId = uint32_t;
 inline InternId InternIdOf(Word w) {
   return static_cast<InternId>(PayloadOf(w));
 }
+
+// Reusable state of the heap-to-token encoder (InternTable::EncodeHeap):
+// the token stream built so far, the heap addresses of the variables
+// numbered so far, and the walk's work stack. Reset starts a new stream;
+// the buffers keep their capacity, so a warm encoder allocates nothing.
+struct TokenScratch {
+  struct Frame {
+    Word term;       // dereferenced struct being encoded
+    uint32_t mark;   // tokens[mark] is its functor token
+    int32_t next;    // next argument to encode
+    int32_t arity;
+    bool ground;     // every argument so far was ground
+  };
+  std::vector<Word> tokens;
+  std::vector<uint64_t> var_cells;
+  std::vector<Frame> frames;
+
+  void Reset() {
+    tokens.clear();
+    var_cells.clear();
+  }
+  uint32_t num_vars() const { return static_cast<uint32_t>(var_cells.size()); }
+};
 
 // Hash-consing store for ground terms (Warren, "Interning Ground Terms in
 // XSB"): every distinct ground compound term is stored exactly once as a
@@ -39,13 +63,13 @@ inline InternId InternIdOf(Word w) {
 // workloads.
 //
 // Concurrency: the store is shared by every serving thread of a
-// QueryService. Reads (FindNode, AppendExpansion, Decode, ArgsOfId, ...)
-// are lock-free — node and argument storage live in append-only arenas that
-// never move, and the dedup index is an open bucket array of atomic chain
-// heads published with release stores. Writes (Intern / Encode / InternNode
-// miss paths) take a shard lock chosen by the key's hash plus a single
-// allocation lock for the arena appends; distinct shards dedup-check in
-// parallel. A lock-free FindNode may miss a term interned concurrently —
+// QueryService. Reads (ProbeHeap, FindNode, AppendExpansion, Decode,
+// ArgsOfId, ...) are lock-free — node and argument storage live in
+// append-only arenas that never move, and the dedup index is an open bucket
+// array of atomic chain heads published with release stores. Writes (the
+// EncodeHeap miss path) take a shard lock chosen by the key's hash plus a
+// single allocation lock for the arena appends; distinct shards dedup-check
+// in parallel. A lock-free FindNode may miss a term interned concurrently —
 // a miss is advisory (callers re-probe under the evaluation lock before
 // concluding a call variant is new); a hit is definitive.
 class InternTable {
@@ -55,35 +79,32 @@ class InternTable {
   InternTable& operator=(const InternTable&) = delete;
   ~InternTable();
 
-  // Interns the ground term `t`; its cells must contain no kLocal cell.
-  // Returns the token for it: an atomic cell for atoms/ints, a kInterned
-  // cell for compounds.
-  Word Intern(const FlatTerm& t) { return InternSubterm(t.cells, 0, nullptr); }
+  // Appends the token stream of the heap term `t` to scratch->tokens: each
+  // maximal ground compound subterm becomes one kInterned token, interned
+  // on the way; atoms and ints pass through; unbound variables become
+  // kLocal cells numbered by first occurrence across every Encode since the
+  // scratch was last Reset (substitution factoring numbers an answer's
+  // bindings as one stream). Adds to *flat_cells (may be null) the number
+  // of cells Flatten would produce for `t`. Walks on an explicit stack.
+  void EncodeHeap(const TermStore& store, Word t, TokenScratch* scratch,
+                  size_t* flat_cells);
 
-  // Rewrites a flat cell stream into a token stream: each maximal ground
-  // compound subterm becomes one kInterned token; atoms, ints and kLocal
-  // variables pass through unchanged. `out` is cleared first.
-  void Encode(const std::vector<Word>& cells, std::vector<Word>* out);
-
-  // Like Encode, but a compound at the top level keeps its functor cell
-  // uncollapsed (only its arguments are tokenized). Answer tries use this:
-  // answers of one subgoal share their functor/leading-argument prefix as
-  // trie edges, while nested ground structure still collapses to interned
-  // tokens. A fully ground answer costs no intern-table probe unless it has
-  // compound arguments.
-  void EncodeOpen(const std::vector<Word>& cells, std::vector<Word>* out);
+  // Lookup-only EncodeHeap: never interns. Returns false, with the stream
+  // cut short, when `t` has a ground compound subterm that was never
+  // interned — no stored token stream can contain it. Lock-free; a false
+  // result is advisory under concurrency (see class comment).
+  bool ProbeHeap(const TermStore& store, Word t, TokenScratch* scratch) const;
 
   // Appends the plain flat-cell expansion of `token` to *out (the inverse
-  // of Encode, one token at a time). Lock-free.
+  // of EncodeHeap, one token at a time). Lock-free.
   void AppendExpansion(Word token, std::vector<Word>* out) const;
 
   // Expands a whole token stream back into a FlatTerm. num_vars is
   // recomputed from the kLocal ordinals present. Lock-free.
   FlatTerm Decode(const std::vector<Word>& tokens) const;
 
-  // Interns the compound (functor, args) where the args are already tokens.
-  // The call trie's heap-walking encoder builds tokens bottom-up with this,
-  // skipping the intermediate FlatTerm entirely.
+  // Interns the compound (functor, args) where the args are already tokens
+  // (EncodeHeap's step for each ground compound it closes).
   Word InternNode(FunctorId functor, const Word* args, int arity) {
     return MakeNode(functor, args, arity);
   }
@@ -147,16 +168,12 @@ class InternTable {
     std::unique_ptr<std::atomic<InternId>[]> buckets;
   };
 
-  // Interns the subterm starting at `pos` of `cells` (which must be ground
-  // over that extent); returns its token and, if `end` is non-null, the
-  // position just past the subterm.
-  Word InternSubterm(const std::vector<Word>& cells, size_t pos, size_t* end);
-
-  // Single-pass encoder: emits the token stream for the subterm at `pos`
-  // into *out and returns whether that subterm was ground (in which case it
-  // contributed exactly one token).
-  bool EncodeSubterm(const std::vector<Word>& cells, size_t pos, size_t* end,
-                     std::vector<Word>* out);
+  // The heap walk behind EncodeHeap and ProbeHeap; `node` maps (functor,
+  // argument tokens) to the compound's token, or kNoToken to stop.
+  template <typename NodeFn>
+  static bool EncodeWalk(const TermStore& store, Word t,
+                         TokenScratch* scratch, size_t* flat_cells,
+                         NodeFn node);
 
   // Hash-conses (functor, args); args are tokens.
   Word MakeNode(FunctorId functor, const Word* args, int arity);

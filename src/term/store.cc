@@ -148,7 +148,10 @@ int TermStore::Compare(Word a, Word b) const {
 }
 
 bool TermStore::IsGround(Word t) const {
-  std::vector<Word> work{t};
+  // A warm per-thread stack: tnot/1 checks every goal it negates.
+  static thread_local std::vector<Word> work;
+  work.clear();
+  work.push_back(t);
   while (!work.empty()) {
     Word x = Deref(work.back());
     work.pop_back();

@@ -2,6 +2,7 @@
 #define XSB_TERM_STORE_H_
 
 #include <cstddef>
+#include <initializer_list>
 #include <vector>
 
 #include "term/cell.h"
@@ -44,6 +45,12 @@ class TermStore {
 
   // Builds f(args...) where args are existing cells.
   Word MakeStruct(FunctorId f, const std::vector<Word>& args);
+  Word MakeStruct(FunctorId f, std::initializer_list<Word> args) {
+    uint64_t i = heap_.size();
+    heap_.push_back(FunctorCell(f));
+    for (Word a : args) heap_.push_back(a);
+    return StructCell(i);
+  }
   Word MakeStruct2(AtomId name, Word a, Word b);  // name(a, b)
   Word MakeList(const std::vector<Word>& elements, Word tail);
 

@@ -81,7 +81,7 @@ class Compiler {
     int arity = symbols_->FunctorArity(functor);
 
     std::vector<ClauseId> live;
-    for (ClauseId id = 0; id < pred->clauses().size(); ++id) {
+    for (ClauseId id : pred->AllClauses()) {
       if (!pred->clause(id).erased) live.push_back(id);
     }
 

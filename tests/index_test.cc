@@ -26,6 +26,11 @@ class IndexTest : public ::testing::Test {
     return r.value();
   }
 
+  // A candidate view's ids, in clause order.
+  static std::vector<ClauseId> Ids(const CandidateView& view) {
+    return std::vector<ClauseId>(view.begin(), view.end());
+  }
+
   Predicate* Pred(const char* name, int arity) {
     return program_.Lookup(
         symbols_.InternFunctor(symbols_.InternAtom(name), arity));
@@ -102,19 +107,19 @@ TEST_F(IndexTest, FirstStringIndexPaperExample) {
   ASSERT_NE(p->first_string_index(), nullptr);
 
   // Fully discriminating query: p(g(b), f(1)) -> clauses 2 and 3.
-  auto c = p->Candidates(store_, Parse("p(g(b),f(1))"));
+  auto c = Ids(p->Candidates(store_, Parse("p(g(b),f(1))")));
   EXPECT_EQ(c, (std::vector<ClauseId>{2, 3}));
 
   // p(g(a), f(b)): clause 0 (f(X) ended early), clause 3.
-  c = p->Candidates(store_, Parse("p(g(a),f(b))"));
+  c = Ids(p->Candidates(store_, Parse("p(g(a),f(b))")));
   EXPECT_EQ(c, (std::vector<ClauseId>{0, 3}));
 
   // Open query keeps everything.
-  c = p->Candidates(store_, Parse("p(U,V)"));
+  c = Ids(p->Candidates(store_, Parse("p(U,V)")));
   EXPECT_EQ(c.size(), 4u);
 
   // p(g(a), Z): variable in call stops discrimination under g(a).
-  c = p->Candidates(store_, Parse("p(g(a),Z)"));
+  c = Ids(p->Candidates(store_, Parse("p(g(a),Z)")));
   EXPECT_EQ(c, (std::vector<ClauseId>{0, 1, 3}));
 }
 
@@ -149,8 +154,32 @@ TEST_F(IndexTest, AssertaPrependsAndReindexes) {
   Predicate* p = Pred("u", 2);
   auto c = p->Candidates(store_, Parse("u(1,Q)"));
   ASSERT_EQ(c.size(), 2u);
-  // The prepended clause must come first.
-  EXPECT_EQ(c[0], 0u);
+  // The prepended clause must come first. Clause ids are stable, so it has
+  // the next free id (2) rather than renumbering the others.
+  EXPECT_EQ(c[0], 2u);
+  EXPECT_EQ(c[1], 0u);
+  EXPECT_EQ(Ids(p->AllClauses()), (std::vector<ClauseId>{2, 0, 1}));
+}
+
+TEST_F(IndexTest, CandidateViewIsASnapshotOfTheClauseOrder) {
+  // The logical update view: clauses added after a view was taken, at
+  // either end, stay outside it; clauses taken before keep their ids.
+  Load("v(1,a). v(X,b). v(2,c).");
+  Predicate* p = Pred("v", 2);
+  Word goal = Parse("v(1,Q)");
+  CandidateView keyed = p->Candidates(store_, goal);
+  CandidateView all = p->Candidates(store_, Parse("v(K,Q)"));
+  ASSERT_EQ(Ids(keyed), (std::vector<ClauseId>{0, 1}));
+  ASSERT_TRUE(program_.AddClauseTerm(store_, Parse("v(1,d)"), true).ok());
+  ASSERT_TRUE(program_.AddClauseTerm(store_, Parse("v(1,e)")).ok());
+  ASSERT_TRUE(program_.AddClauseTerm(store_, Parse("v(Y,f)"), true).ok());
+  EXPECT_EQ(Ids(keyed), (std::vector<ClauseId>{0, 1}));
+  EXPECT_EQ(Ids(all), (std::vector<ClauseId>{0, 1, 2}));
+  // A new view sees them, in clause order.
+  EXPECT_EQ(Ids(p->Candidates(store_, goal)),
+            (std::vector<ClauseId>{5, 3, 0, 1, 4}));
+  EXPECT_EQ(Ids(p->Candidates(store_, Parse("v(2,Q)"))),
+            (std::vector<ClauseId>{5, 1, 2}));
 }
 
 TEST_F(IndexTest, SkipFlatSubtermWalksNestedTerms) {
@@ -181,7 +210,7 @@ TEST_F(IndexTest, PropertyIndexedLookupEqualsLinearScan) {
       size_t pos = FlatArgPos(symbols_, clause.term.cells, clause.head_pos, 0);
       if (clause.term.cells[pos] == IntCell(key)) linear.push_back(id);
     }
-    EXPECT_EQ(indexed, linear) << "key " << key;
+    EXPECT_EQ(Ids(indexed), linear) << "key " << key;
   }
 }
 

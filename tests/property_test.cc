@@ -328,20 +328,25 @@ class FlatTermGen {
 
 class InternProperty : public ::testing::TestWithParam<uint32_t> {};
 
+// The heap-to-token encoder shared by the call and answer tries.
 TEST_P(InternProperty, InternIsIdempotentAndRoundTrips) {
   SymbolTable symbols;
   TermStore store(&symbols);
   InternTable interns(&symbols);
   FlatTermGen gen(&store, GetParam(), /*ground=*/true);
+  TokenScratch scratch;
 
   for (int round = 0; round < 60; ++round) {
     FlatTerm t = gen.Next();
-    Word token1 = interns.Intern(t);
-    Word token2 = interns.Intern(t);
-    // Hash-consing: the same ground term always maps to the same token, so
-    // term equality is token (integer) equality.
-    EXPECT_EQ(token1, token2);
-    FlatTerm back = interns.Decode({token1});
+    Word term = Unflatten(&store, t);
+    scratch.Reset();
+    interns.EncodeHeap(store, term, &scratch, nullptr);
+    interns.EncodeHeap(store, term, &scratch, nullptr);
+    // A ground term is one token, and hash-consing maps the same ground
+    // term to the same token, so term equality is token (integer) equality.
+    ASSERT_EQ(scratch.tokens.size(), 2u);
+    EXPECT_EQ(scratch.tokens[0], scratch.tokens[1]);
+    FlatTerm back = interns.Decode({scratch.tokens[0]});
     EXPECT_EQ(back.cells, t.cells) << "round " << round;
     EXPECT_EQ(back.num_vars, 0u);
   }
@@ -352,17 +357,30 @@ TEST_P(InternProperty, EncodeDecodeRoundTripsNonGroundTerms) {
   TermStore store(&symbols);
   InternTable interns(&symbols);
   FlatTermGen gen(&store, GetParam() + 1000, /*ground=*/false);
+  TokenScratch scratch;
 
   for (int round = 0; round < 60; ++round) {
     FlatTerm t = gen.Next();
-    std::vector<Word> tokens;
-    interns.Encode(t.cells, &tokens);
-    // Tokens never exceed the original cells, and collapse below them as
-    // soon as a ground compound subterm appears.
-    EXPECT_LE(tokens.size(), t.cells.size());
-    FlatTerm back = interns.Decode(tokens);
+    scratch.Reset();
+    size_t cells = 0;
+    interns.EncodeHeap(store, Unflatten(&store, t), &scratch, &cells);
+    // The encoder counts the cells it walked; tokens never exceed them, and
+    // collapse below them as soon as a ground compound subterm appears.
+    EXPECT_EQ(cells, t.cells.size()) << "round " << round;
+    EXPECT_LE(scratch.tokens.size(), t.cells.size());
+    EXPECT_EQ(scratch.num_vars(), t.num_vars) << "round " << round;
+    FlatTerm back = interns.Decode(scratch.tokens);
     EXPECT_EQ(back.cells, t.cells) << "round " << round;
     EXPECT_EQ(back.num_vars, t.num_vars) << "round " << round;
+    // And back onto the heap: the token stream unifies with a fresh
+    // variable to a variant of the original.
+    std::vector<Word> vars(scratch.num_vars(), kNoVar);
+    size_t pos = 0;
+    Word fresh = store.MakeVar();
+    ASSERT_TRUE(UnifyTokens(&store, &interns, scratch.tokens.data(), &pos,
+                            fresh, &vars));
+    EXPECT_EQ(pos, scratch.tokens.size());
+    EXPECT_EQ(Flatten(store, fresh), t) << "round " << round;
   }
 }
 
@@ -371,14 +389,17 @@ TEST_P(InternProperty, DistinctTermsGetDistinctTokens) {
   TermStore store(&symbols);
   InternTable interns(&symbols);
   FlatTermGen gen(&store, GetParam() + 2000, /*ground=*/true);
+  TokenScratch scratch;
 
   std::set<std::vector<Word>> seen_terms;
   std::set<Word> seen_tokens;
   for (int round = 0; round < 60; ++round) {
     FlatTerm t = gen.Next();
-    Word token = interns.Intern(t);
+    scratch.Reset();
+    interns.EncodeHeap(store, Unflatten(&store, t), &scratch, nullptr);
+    ASSERT_EQ(scratch.tokens.size(), 1u);
     bool new_term = seen_terms.insert(t.cells).second;
-    bool new_token = seen_tokens.insert(token).second;
+    bool new_token = seen_tokens.insert(scratch.tokens[0]).second;
     EXPECT_EQ(new_term, new_token) << "round " << round;
   }
 }
@@ -423,22 +444,30 @@ TEST_P(AnswerTrieProperty, InsertMatchesHashSetOracleAndEnumeratesAll) {
     EXPECT_EQ(fresh_trie, fresh_oracle) << "round " << round;
     if (fresh_oracle) inserted.push_back(full);
     if (fresh_trie) {
-      // Factoring accounting: stored bindings + saved cells = full instance.
-      FlatTerm bindings;
-      trie.ReadBindings(trie.size() - 1, &bindings);
-      EXPECT_EQ(bindings.cells.size() + saved, full.cells.size())
-          << "round " << round;
+      // Factoring accounting: the template ans(A, B) stores nothing but its
+      // functor cell beyond the bindings, so exactly that one cell is saved.
+      EXPECT_EQ(saved, 1u) << "round " << round;
     }
   }
 
   // Enumeration: same count, same order as first insertion, and every
-  // reconstructed answer element-wise equal to the canonical full instance.
+  // answer, spliced (ReadAnswer) or unified back onto the heap through the
+  // factored return (UnifyBindings), equal to the canonical full instance.
   ASSERT_EQ(trie.size(), inserted.size());
   FlatTerm out;
   for (size_t i = 0; i < trie.size(); ++i) {
     trie.ReadAnswer(i, &out);
     EXPECT_EQ(out.cells, inserted[i].cells) << "index " << i;
     EXPECT_EQ(out.num_vars, inserted[i].num_vars) << "index " << i;
+
+    Word a = store.MakeVar();
+    Word b = store.MakeVar();
+    uint64_t template_vars = store.HeapMark();
+    store.At(PayloadOf(store.MakeVar())) = a;
+    store.At(PayloadOf(store.MakeVar())) = b;
+    ASSERT_TRUE(trie.UnifyBindings(i, &store, template_vars)) << i;
+    EXPECT_EQ(Flatten(store, store.MakeStruct(ans2, {a, b})), inserted[i])
+        << "index " << i;
   }
   EXPECT_GT(trie.node_count(), 0u);
 }
