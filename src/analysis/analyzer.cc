@@ -820,7 +820,9 @@ void Analyzer::LintPass() {
 
 AnalysisResult Analyzer::Run() {
   // Node set: every predicate with at least one live clause.
-  for (const auto& [f, pred] : program_.predicates()) {
+  for (const auto& pred : program_.predicates()) {
+    if (pred == nullptr) continue;
+    FunctorId f = pred->functor();
     if (pred->num_live_clauses() > 0) nodes_.push_back(f);
   }
   std::sort(nodes_.begin(), nodes_.end());
@@ -899,7 +901,9 @@ std::unordered_map<FunctorId, std::vector<FunctorId>> IncrementalDependencies(
     callers[edge.to].push_back(edge.from);
   }
   std::unordered_map<FunctorId, std::vector<FunctorId>> deps;
-  for (const auto& [functor, pred] : program.predicates()) {
+  for (const auto& pred : program.predicates()) {
+    if (pred == nullptr) continue;
+    FunctorId functor = pred->functor();
     if (!pred->incremental()) continue;
     // Every predicate that can reach `functor` (including itself) depends
     // on it: walk the reversed call graph.
@@ -962,7 +966,9 @@ void PublishEvalShards(Program* program, const AnalysisResult& result) {
   // A widened graph (HiLog / call-N forced edges to every in-scope
   // predicate) already reaches everything tabled, but make the coarse
   // fallback explicit: unknown masks mean "all shards" downstream.
-  for (const auto& [functor, pred] : program->predicates()) {
+  for (const auto& pred : program->predicates()) {
+    if (pred == nullptr) continue;
+    FunctorId functor = pred->functor();
     auto it = result.scc_of.find(functor);
     if (it == result.scc_of.end()) {
       pred->set_eval_shards(-1, 0);

@@ -698,7 +698,9 @@ void ModeAnalyzer::Finalize() {
 
 ModeResult ModeAnalyzer::Run() {
   std::vector<FunctorId> nodes;
-  for (const auto& [f, pred] : program_.predicates()) {
+  for (const auto& pred : program_.predicates()) {
+    if (pred == nullptr) continue;
+    FunctorId f = pred->functor();
     if (pred->num_live_clauses() > 0) nodes.push_back(f);
   }
   std::sort(nodes.begin(), nodes.end());
@@ -841,7 +843,9 @@ void PublishModes(Program* program, const AnalysisResult& analysis) {
   }
 
   uint64_t epoch = program->clause_epoch();
-  for (const auto& [functor, pred] : program->predicates()) {
+  for (const auto& pred : program->predicates()) {
+    if (pred == nullptr) continue;
+    FunctorId functor = pred->functor();
     auto it = modes.preds.find(functor);
     if (it == modes.preds.end()) {
       pred->clear_modes();

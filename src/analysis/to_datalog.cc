@@ -1,6 +1,5 @@
 #include "analysis/to_datalog.h"
 
-#include <algorithm>
 #include <unordered_map>
 
 #include "db/index.h"
@@ -170,16 +169,9 @@ Status Translator::AddClause(const Clause& clause) {
 
 Status ToDatalog(const Program& program, datalog::DatalogProgram* out) {
   Translator translator(program, out);
-  // Deterministic order: predicates sorted by functor id.
-  std::vector<FunctorId> functors;
-  functors.reserve(program.predicates().size());
-  for (const auto& [functor, pred] : program.predicates()) {
-    (void)pred;
-    functors.push_back(functor);
-  }
-  std::sort(functors.begin(), functors.end());
-  for (FunctorId functor : functors) {
-    const Predicate* pred = program.Lookup(functor);
+  // Deterministic order: predicates by functor id.
+  for (const auto& pred : program.predicates()) {
+    if (pred == nullptr) continue;
     for (const Clause& clause : pred->clauses()) {
       if (clause.erased) continue;
       Status s = translator.AddClause(clause);

@@ -36,40 +36,20 @@ size_t FlatArgPos(const SymbolTable& symbols, const std::vector<Word>& cells,
 // newest last (so clause order reads them backwards), from the others, kept
 // in order; clause ids grow with time, so the others are sorted. Both parts
 // only ever grow, which is what makes a view that remembers their lengths a
-// snapshot (see CandidateView). The asserta part is allocated on first use:
-// most lists never have one.
+// snapshot (see CandidateView).
 class ClauseList {
  public:
-  ClauseList() = default;
-  ClauseList(const ClauseList& other)
-      : back_(other.back_),
-        front_(other.front_ == nullptr
-                   ? nullptr
-                   : std::make_unique<std::vector<ClauseId>>(*other.front_)) {}
-  ClauseList& operator=(const ClauseList& other) {
-    if (this != &other) *this = ClauseList(other);
-    return *this;
-  }
-  ClauseList(ClauseList&&) = default;
-  ClauseList& operator=(ClauseList&&) = default;
-
   void Add(ClauseId id, bool at_front) {
-    if (!at_front) {
-      back_.push_back(id);
-      return;
-    }
-    if (front_ == nullptr) front_ = std::make_unique<std::vector<ClauseId>>();
-    front_->push_back(id);
+    (at_front ? front_ : back_).push_back(id);
   }
-  size_t front_size() const { return front_ == nullptr ? 0 : front_->size(); }
-  size_t size() const { return front_size() + back_.size(); }
-  // The asserta'd ids, newest last; null when there are none.
-  const std::vector<ClauseId>* front() const { return front_.get(); }
+  size_t size() const { return front_.size() + back_.size(); }
+  // The asserta'd ids, newest last.
+  const std::vector<ClauseId>& front() const { return front_; }
   const std::vector<ClauseId>& back() const { return back_; }
 
  private:
   std::vector<ClauseId> back_;
-  std::unique_ptr<std::vector<ClauseId>> front_;
+  std::vector<ClauseId> front_;
 };
 
 // The candidate clauses of one call, in clause order, without copying them:
@@ -114,7 +94,7 @@ class CandidateView {
 
   CandidateView() = default;
   explicit CandidateView(const ClauseList& list)
-      : list_(&list), num_front_(list.front_size()), size_(list.size()) {}
+      : list_(&list), num_front_(list.front().size()), size_(list.size()) {}
   explicit CandidateView(std::vector<ClauseId> ids)
       : size_(ids.size()), owned_(std::move(ids)) {}
 
@@ -122,7 +102,7 @@ class CandidateView {
   bool empty() const { return size_ == 0; }
   ClauseId operator[](size_t i) const {
     if (list_ == nullptr) return owned_[i];
-    return i < num_front_ ? (*list_->front())[num_front_ - 1 - i]
+    return i < num_front_ ? list_->front()[num_front_ - 1 - i]
                           : list_->back()[i - num_front_];
   }
   Iterator begin() const { return Iterator(this, 0); }

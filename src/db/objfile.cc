@@ -73,8 +73,10 @@ Status SaveObjectFile(const Program& program,
                       const std::string& path) {
   std::vector<const Predicate*> preds;
   if (predicates.empty()) {
-    for (const auto& [functor, pred] : program.predicates()) {
-      if (pred->num_live_clauses() > 0) preds.push_back(pred.get());
+    for (const auto& pred : program.predicates()) {
+      if (pred != nullptr && pred->num_live_clauses() > 0) {
+        preds.push_back(pred.get());
+      }
     }
   } else {
     for (FunctorId f : predicates) {

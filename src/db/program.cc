@@ -7,8 +7,9 @@ namespace xsb {
 ClauseId Predicate::AddClause(const SymbolTable& symbols, Clause clause,
                               bool front) {
   ++live_count_;
+  ClauseId id = static_cast<ClauseId>(clauses_.size());
+  clause.order = front ? -static_cast<int64_t>(all_.front().size()) - 1 : id;
   clauses_.push_back(std::move(clause));
-  ClauseId id = static_cast<ClauseId>(clauses_.size() - 1);
   all_.Add(id, front);
   IndexClause(symbols, id, front);
   return id;
@@ -155,18 +156,11 @@ CandidateView Predicate::Candidates(const TermStore& store, Word goal) const {
     case IndexKind::kFirstString: {
       if (trie_ == nullptr) break;
       std::vector<ClauseId> ids = trie_->Lookup(store, goal);
-      const std::vector<ClauseId>* front = all_.front();
-      if (front != nullptr) {
+      if (!all_.front().empty()) {
         // The ids come sorted, which is clause order except for asserta'd
         // clauses: those go first, the newest first.
-        auto rank = [front](ClauseId id) -> int64_t {
-          for (size_t k = 0; k < front->size(); ++k) {
-            if ((*front)[k] == id) return -static_cast<int64_t>(k) - 1;
-          }
-          return id;
-        };
-        std::sort(ids.begin(), ids.end(), [&rank](ClauseId a, ClauseId b) {
-          return rank(a) < rank(b);
+        std::sort(ids.begin(), ids.end(), [this](ClauseId a, ClauseId b) {
+          return clauses_[a].order < clauses_[b].order;
         });
       }
       return CandidateView(std::move(ids));
@@ -177,12 +171,9 @@ CandidateView Predicate::Candidates(const TermStore& store, Word goal) const {
 
 Predicate* Program::LookupOrCreate(FunctorId functor) {
   if (Predicate* found = Lookup(functor)) return found;
-  auto pred = std::make_unique<Predicate>(functor, current_module_);
-  Predicate* raw = pred.get();
-  predicates_.emplace(functor, std::move(pred));
-  if (functor >= by_functor_.size()) by_functor_.resize(functor + 1, nullptr);
-  by_functor_[functor] = raw;
-  return raw;
+  if (functor >= predicates_.size()) predicates_.resize(functor + 1);
+  predicates_[functor] = std::make_unique<Predicate>(functor, current_module_);
+  return predicates_[functor].get();
 }
 
 std::optional<FunctorId> Program::CallableFunctor(const TermStore& store,
@@ -278,7 +269,7 @@ Status Program::DeclareIndex(FunctorId functor,
                              std::vector<std::vector<int>> field_sets) {
   int arity = symbols_->FunctorArity(functor);
   for (const auto& fields : field_sets) {
-    if (fields.empty() || fields.size() > 3) {
+    if (fields.empty() || fields.size() > CombinedHashIndex::kMaxFields) {
       return InvalidError("index field sets must have 1 to 3 fields");
     }
     for (int f : fields) {

@@ -113,6 +113,9 @@ struct Clause {
   bool erased = false;  // tombstone left by retract
   size_t head_pos = 0;  // position of the head within term.cells
   SourceSpan span;      // where the clause was read; unknown for asserts
+  // Sorts in clause order: asserta'd clauses count down from -1, the
+  // others take their id.
+  int64_t order = 0;
 };
 
 // A predicate: its clauses plus indexing and evaluation attributes.
@@ -294,10 +297,12 @@ class Program {
   // Looks a predicate up; returns nullptr if never defined/declared. One
   // load on the clause-resolution hot path.
   Predicate* Lookup(FunctorId functor) {
-    return functor < by_functor_.size() ? by_functor_[functor] : nullptr;
+    return functor < predicates_.size() ? predicates_[functor].get()
+                                        : nullptr;
   }
   const Predicate* Lookup(FunctorId functor) const {
-    return functor < by_functor_.size() ? by_functor_[functor] : nullptr;
+    return functor < predicates_.size() ? predicates_[functor].get()
+                                        : nullptr;
   }
   // Looks up, creating an empty predicate on first use.
   Predicate* LookupOrCreate(FunctorId functor);
@@ -328,8 +333,9 @@ class Program {
   AtomId current_module() const { return current_module_; }
   void set_current_module(AtomId module) { current_module_ = module; }
 
-  const std::unordered_map<FunctorId, std::unique_ptr<Predicate>>&
-  predicates() const {
+  // Every predicate, indexed by FunctorId; null where none was defined or
+  // declared.
+  const std::vector<std::unique_ptr<Predicate>>& predicates() const {
     return predicates_;
   }
 
@@ -418,9 +424,7 @@ class Program {
   OpTable ops_;
   AtomId user_module_;
   AtomId current_module_;
-  std::unordered_map<FunctorId, std::unique_ptr<Predicate>> predicates_;
-  // predicates_ indexed densely by FunctorId (null where none).
-  std::vector<Predicate*> by_functor_;
+  std::vector<std::unique_ptr<Predicate>> predicates_;  // see predicates()
   std::unordered_set<AtomId> hilog_atoms_;
   std::vector<analysis::Diagnostic> consult_lints_;
   std::vector<analysis::Diagnostic> analysis_diagnostics_;

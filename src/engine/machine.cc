@@ -130,38 +130,16 @@ bool Machine::Backtrack(size_t base_cp, const GoalNode** goals) {
     switch (cp.kind) {
       case ChoiceKind::kClauses: {
         uint32_t entry_depth = static_cast<uint32_t>(cps_.size() - 1);
-        size_t n = cp.candidates.size();
-        bool last = false;
-        ClauseId id = 0;
-        while (cp.next_candidate < n) {
-          id = cp.candidates[cp.next_candidate++];
+        while (cp.next_candidate < cp.candidates.size()) {
+          ClauseId id = cp.candidates[cp.next_candidate++];
           if (cp.pred->clause(id).erased) continue;
-          if (cp.next_candidate == n) {
-            last = true;
-            break;
-          }
           if (TryClause(cp.pred, id, cp.goal, cp.cont, entry_depth, goals)) {
             return true;
           }
           store_->UndoTrail(cp.trail_mark);
           store_->TruncateHeap(cp.heap_mark);
         }
-        if (!last) {
-          cps_.pop_back();
-          continue;
-        }
-        // The last candidate runs without its choice point (the WAM's
-        // trust): nothing is left to retry, and deterministic recursion then
-        // keeps the choice-point stack flat.
-        Predicate* pred = cp.pred;
-        Word goal = cp.goal;
-        const GoalNode* cont = cp.cont;
-        size_t trail_mark = cp.trail_mark;
-        size_t heap_mark = cp.heap_mark;
         cps_.pop_back();
-        if (TryClause(pred, id, goal, cont, entry_depth, goals)) return true;
-        store_->UndoTrail(trail_mark);
-        store_->TruncateHeap(heap_mark);
         continue;
       }
       case ChoiceKind::kDisjunction: {

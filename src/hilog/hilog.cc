@@ -22,7 +22,9 @@ Result<SpecializeStats> Specialize(TermStore* store, Program* program) {
   // 1. Identify specializable apply/N predicates: every live clause head has
   // a compound functor-position argument with one common outer symbol.
   std::map<FunctorId, Specialization> specs;
-  for (const auto& [functor, pred] : program->predicates()) {
+  for (const auto& pred : program->predicates()) {
+    if (pred == nullptr) continue;
+    FunctorId functor = pred->functor();
     if (symbols->FunctorAtom(functor) != apply_atom) continue;
     int arity = symbols->FunctorArity(functor);
     if (arity < 2 || pred->num_live_clauses() == 0) continue;
@@ -110,7 +112,9 @@ Result<SpecializeStats> Specialize(TermStore* store, Program* program) {
   // 2. Rewrite every clause of every predicate.
   FunctorId neck2 = symbols->InternFunctor(symbols->neck(), 2);
   std::vector<std::pair<Predicate*, std::vector<Word>>> rebuilt;
-  for (const auto& [functor, pred] : program->predicates()) {
+  for (const auto& pred : program->predicates()) {
+    if (pred == nullptr) continue;
+    FunctorId functor = pred->functor();
     if (pred->num_live_clauses() == 0) continue;
     auto spec_it = specs.find(functor);
     std::vector<Word> new_clauses;

@@ -294,7 +294,7 @@ TabledCallHandler::CallOutcome Evaluator::OnTabledCall(
     return CallOutcome::kError;
   }
 
-  if (num_batches_ == 0) {
+  if (batches_.empty()) {
     // Top-level call. The warm path — table already complete and valid —
     // is fully lock-free; it is the path concurrent serving scales on.
     if (TryServeWarm(machine, goal, cont)) {
@@ -332,7 +332,7 @@ TabledCallHandler::CallOutcome Evaluator::OnTabledCall(
 
   // In-batch call: widen this batch's shard ownership to cover the callee
   // before touching its tables (stale reach masks are repaired here).
-  Batch& batch = batches_[num_batches_ - 1];
+  Batch& batch = batches_.back();
   Status own = EnsureOwnedForCall(*functor);
   if (!own.ok()) {
     machine->SetError(own);
@@ -406,8 +406,8 @@ TabledCallHandler::CallOutcome Evaluator::OnTabledAnswer(Machine* machine,
   // and answers later retired by a replacement were valid when stored.
   if (fresh) CheckAnswerModes(id, call_instance);
 #endif
-  if (fresh && num_batches_ != 0) {
-    Batch& batch = batches_[num_batches_ - 1];
+  if (fresh && !batches_.empty()) {
+    Batch& batch = batches_.back();
     if (batch.stop_on_answer == id) {
       // Existential negation: one answer suffices; abandon the batch.
       batch.aborted = true;
@@ -540,16 +540,13 @@ Status Evaluator::EvaluateToCompletion(Word goal, FunctorId functor,
                                        SubgoalId* root_out) {
   TermStore* store = machine_->store();
   ++stats_.batches;
-  if (num_batches_ == batches_.size()) batches_.emplace_back();
-  size_t batch_index = num_batches_++;
-  {
-    Batch& open = batches_[batch_index];
-    open.id = tables_->NextBatchId();
-    open.subgoals.clear();
-    open.generator_queue.clear();
-    open.stop_on_answer = kNoSubgoal;
-    open.aborted = false;
-  }
+  batches_.push_back(Batch{tables_->NextBatchId(),
+                           {},
+                           {},
+                           {},
+                           kNoSubgoal,
+                           false});
+  size_t batch_index = batches_.size() - 1;
 
   auto [root, created] =
       tables_->LookupOrCreate(*store, goal, functor, batches_[batch_index].id,
@@ -584,8 +581,7 @@ Status Evaluator::EvaluateToCompletion(Word goal, FunctorId functor,
     }
     tables_->NotifyCompletion();
   }
-  batch.consumers.clear();
-  --num_batches_;
+  batches_.pop_back();
   *has_answer = answered;
   *root_out = root;
   return status;
@@ -594,7 +590,7 @@ Status Evaluator::EvaluateToCompletion(Word goal, FunctorId functor,
 Status Evaluator::Complete(Word goal, FunctorId functor, bool existential,
                            const AnswerTable** table, bool* has_answer) {
   TermStore* store = machine_->store();
-  if (num_batches_ != 0) {
+  if (!batches_.empty()) {
     // In-batch: once this batch owns the callee's shards, an incomplete
     // table seen here can only belong to this thread's own (enclosing)
     // batch — a genuine stratification violation, never another session's
@@ -685,7 +681,7 @@ bool Evaluator::AbolishTableCall(Machine* machine, Word goal) {
   std::optional<FunctorId> functor = Program::CallableFunctor(*store, goal);
   ShardMask need =
       functor.has_value() ? ReachMask(*functor, goal) : kAllEvalShards;
-  if (num_batches_ == 0) {
+  if (batches_.empty()) {
     ShardLease lease(tables_, need);
     SubgoalId id = tables_->Lookup(*store, goal);
     if (id == kNoSubgoal) return false;
@@ -743,7 +739,7 @@ TabledCallHandler::TableStatsInfo Evaluator::GetTableStats(Machine* machine,
   // aggregate walks stay exact, byte totals report 0.
   ShardMask added = kAllEvalShards & ~owned_shards_;
   bool exclusive;
-  if (num_batches_ == 0) {
+  if (batches_.empty()) {
     tables_->AcquireShards(added);
     exclusive = true;
   } else {

@@ -126,7 +126,7 @@ class Evaluator : public TabledCallHandler, public TableUpdateListener {
 
  private:
   struct Batch {
-    uint64_t id = 0;
+    uint64_t id;
     std::vector<SubgoalId> subgoals;
     std::vector<Consumer> consumers;
     std::vector<SubgoalId> generator_queue;
@@ -224,10 +224,7 @@ class Evaluator : public TabledCallHandler, public TableUpdateListener {
   TableSpace* tables_;
   bool early_completion_;
   bool incremental_;
-  // The open batches are batches_[0, num_batches_), innermost last. Closed
-  // batch slots are kept and reopened, so their vectors stay warm.
   std::vector<Batch> batches_;
-  size_t num_batches_ = 0;
   // Evaluation shards this session currently holds. Nonzero exactly while a
   // top-level cold evaluation (and its nested batches) runs; the session is
   // single-threaded, so no synchronization is needed on the member itself.

@@ -459,12 +459,15 @@ void TableSpace::ResetForReevaluation(SubgoalId id, uint64_t batch_id) {
 }
 
 void TableSpace::ReleaseRetiredAnswers() {
-  // One scan of the epoch slots for the whole sweep: a stamp below the
-  // minimum announced epoch is past every reader.
-  uint64_t min_active = epochs_.MinActive();
+  Perturb("retired.sweep");
   std::vector<std::unique_ptr<AnswerTable>> reclaimed;
   {
     std::lock_guard<std::mutex> lock(retired_mutex_);
+    // One scan of the epoch slots for the whole sweep, made under the lock:
+    // every table on the list was unlinked and stamped before it was pushed,
+    // so a reader that could still hold one has announced by now, and a
+    // stamp below the minimum announced epoch is past every reader.
+    uint64_t min_active = epochs_.MinActive();
     auto kept = std::partition(
         retired_answers_.begin(), retired_answers_.end(),
         [min_active](const Retired& r) { return r.stamp >= min_active; });

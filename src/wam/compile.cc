@@ -32,7 +32,9 @@ class Compiler {
 
   Result<CompiledModule> Compile(std::vector<FunctorId> predicates) {
     if (predicates.empty()) {
-      for (const auto& [functor, pred] : program_.predicates()) {
+      for (const auto& pred : program_.predicates()) {
+        if (pred == nullptr) continue;
+        FunctorId functor = pred->functor();
         if (pred->num_live_clauses() > 0) predicates.push_back(functor);
       }
     }

@@ -244,11 +244,17 @@ TEST(QueryServiceTest, DistinctVariantsEvaluateConcurrently) {
   }
 }
 
+void YieldAtSweep(const char* point) {
+  if (std::string_view(point) == "retired.sweep") std::this_thread::yield();
+}
+
 TEST(QueryServiceTest, AbolishDuringConcurrentEnumeration) {
   // N workers enumerate a completed table in a loop while abolish queries
   // retire it from another worker: epoch-deferred reclamation must keep
   // every open snapshot readable, and re-evaluation after each abolish must
-  // rebuild the exact same answers.
+  // rebuild the exact same answers. Every worker sweeps the retired list
+  // after each query; the yield at the start of each sweep widens the
+  // window between a sweep and its lock (see EpochReclaimTest).
   QueryService service({.num_workers = 4});
   ASSERT_TRUE(
       service.Consult(std::string(kPathProgram) + ChainEdges(50)).ok());
@@ -256,9 +262,10 @@ TEST(QueryServiceTest, AbolishDuringConcurrentEnumeration) {
       SortedAnswers(service.Query("path(1, X)"));
   ASSERT_EQ(expected.size(), 49u);
 
+  TableSpace::SetSchedulePerturb(&YieldAtSweep);
   std::vector<std::future<Result<std::vector<Answer>>>> reads;
   std::vector<std::future<Result<std::vector<Answer>>>> abolishes;
-  for (int round = 0; round < 12; ++round) {
+  for (int round = 0; round < 40; ++round) {
     for (int r = 0; r < 3; ++r) reads.push_back(service.Submit("path(1, X)"));
     abolishes.push_back(service.Submit("abolish_table_call(path(1, X))"));
   }
@@ -269,12 +276,56 @@ TEST(QueryServiceTest, AbolishDuringConcurrentEnumeration) {
     Result<std::vector<Answer>> result = future.get();
     EXPECT_TRUE(result.ok());
   }
+  TableSpace::SetSchedulePerturb(nullptr);
   // Quiesce (pause-the-world releases all retired snapshots), then check
   // that the abolishes really exercised retire + reclaim.
   ASSERT_TRUE(service.Update("true").ok());
   QueryService::ServiceStats stats = service.Stats();
   EXPECT_GT(stats.epochs_retired, 0u);
   EXPECT_EQ(service.tables().num_retired_answers(), 0u);
+}
+
+// Stands in for two threads that act between the start of a reclaim sweep
+// and its lock: a reader enters its epoch (as on the lock-free warm path),
+// then another thread abolishes the table that reader may now hold.
+struct SweepRace {
+  TableSpace* tables = nullptr;
+  int slot = -1;
+  bool fired = false;
+};
+SweepRace sweep_race;
+void EnterAndAbolishBeforeTheSweepLock(const char* point) {
+  if (std::string_view(point) != "retired.sweep" || sweep_race.fired) return;
+  sweep_race.fired = true;
+  sweep_race.tables->epochs().Enter(sweep_race.slot);
+  sweep_race.tables->Dispose(0);
+}
+
+TEST(EpochReclaimTest, SweepKeepsATableRetiredUnderAReaderBeforeItsLock) {
+  // The sweep must judge every table it finds on the retired list against
+  // the readers announced by then; an epoch minimum read before the lock
+  // misses this reader and recycles the table under it.
+  Engine engine;
+  ASSERT_TRUE(
+      engine.ConsultString(std::string(kPathProgram) + ChainEdges(8)).ok());
+  ASSERT_EQ(engine.Count("path(1, X)").value(), 7u);
+  TableSpace& tables = engine.evaluator().tables();
+  ASSERT_EQ(tables.num_subgoals(), 1u);
+  const AnswerTable* held = tables.subgoal(0).table();
+  sweep_race = {&tables, tables.epochs().AcquireSlot(), false};
+  ASSERT_GE(sweep_race.slot, 0);
+  TableSpace::SetSchedulePerturb(&EnterAndAbolishBeforeTheSweepLock);
+  tables.ReleaseRetiredAnswers();
+  TableSpace::SetSchedulePerturb(nullptr);
+  ASSERT_TRUE(sweep_race.fired);
+  // The reader still pins the abolished table: parked, not cleared.
+  EXPECT_EQ(tables.num_retired_answers(), 1u);
+  EXPECT_EQ(held->size(), 7u);
+  tables.epochs().Exit(sweep_race.slot);
+  tables.ReleaseRetiredAnswers();
+  EXPECT_EQ(tables.num_retired_answers(), 0u);
+  tables.epochs().ReleaseSlot(sweep_race.slot);
+  EXPECT_EQ(engine.Count("path(1, X)").value(), 7u);
 }
 
 TEST(QueryServiceTest, IncrementalRetractDuringServing) {

@@ -182,6 +182,20 @@ TEST_F(IndexTest, CandidateViewIsASnapshotOfTheClauseOrder) {
             (std::vector<ClauseId>{5, 1, 2}));
 }
 
+TEST_F(IndexTest, FirstStringCandidatesPutAssertaClausesFirst) {
+  Load("w(g(a),1). w(g(b),2).");
+  Predicate* p = Pred("w", 2);
+  ASSERT_TRUE(program_.DeclareFirstString(p->functor()).ok());
+  ASSERT_TRUE(program_.AddClauseTerm(store_, Parse("w(g(a),3)"), true).ok());
+  ASSERT_TRUE(program_.AddClauseTerm(store_, Parse("w(g(X),4)"), true).ok());
+  ASSERT_TRUE(program_.AddClauseTerm(store_, Parse("w(g(a),5)")).ok());
+  // Clause order: 4 (id 3), 3 (id 2), 1 (id 0), 2 (id 1), 5 (id 4).
+  EXPECT_EQ(Ids(p->Candidates(store_, Parse("w(g(a),Z)"))),
+            (std::vector<ClauseId>{3, 2, 0, 4}));
+  EXPECT_EQ(Ids(p->Candidates(store_, Parse("w(g(b),Z)"))),
+            (std::vector<ClauseId>{3, 1}));
+}
+
 TEST_F(IndexTest, SkipFlatSubtermWalksNestedTerms) {
   Word t = Parse("f(g(h(a),b),c)");
   FlatTerm flat = Flatten(store_, t);
