@@ -27,6 +27,8 @@ const char* CodeName(ErrorCode code) {
       return "IO";
     case ErrorCode::kRetryEvaluation:
       return "RETRY_EVALUATION";
+    case ErrorCode::kDeferred:
+      return "DEFERRED";
   }
   return "UNKNOWN";
 }

@@ -22,6 +22,9 @@ enum class ErrorCode {
   kIo,               // file errors
   kRetryEvaluation,  // internal: a tabled batch must restart under wider
                      // shard ownership (never surfaces through the API)
+  kDeferred,         // internal: a query's first goal found its shards or
+                     // its variant busy; the service requeues the query
+                     // (never surfaces through the API)
 };
 
 // A success-or-error value; cheap to copy on the success path.

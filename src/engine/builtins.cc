@@ -564,13 +564,16 @@ void SplitClausePattern(Machine& m, Word pattern, Word* head, Word* body,
   }
 }
 
-// A successful erasure shrinks the program: shard reach masks and
-// incremental dependency seeds published for the old clause set are now
-// stale (still sound — a shrunken program only satisfies the published
-// upper bounds more — but loose, so every cold call over-acquires shards).
-// Recompute the structural analyses and republish. The mode pass is
-// skipped: published call/success modes are likewise upper bounds that
-// erasure can only tighten, and the fixpoint is the expensive part.
+// Erasing a rule shrinks the call graph: shard reach masks and incremental
+// dependency seeds published for the old clause set are now stale (still
+// sound — a shrunken program only satisfies the published upper bounds
+// more — but loose, so every cold call over-acquires shards). Recompute the
+// structural analyses and republish. Erasing a fact needs none of this: a
+// fact adds no call-graph edge, so the published seeds and masks are exactly
+// what a re-analysis would give, and first-argument key masks stay upper
+// bounds. The mode pass is skipped: published call/success modes are
+// likewise upper bounds that erasure can only tighten, and the fixpoint is
+// the expensive part.
 void RepublishAfterErasure(Machine& m) {
   analysis::AnalyzeOptions options;
   options.safety_pass = false;
@@ -611,9 +614,10 @@ BuiltinResult BuiltinRetract(Machine& m, Word goal, const GoalNode*) {
     // A bare pattern retracts clauses whose body is `true` (facts); a
     // (H :- B) pattern matches against the stored body.
     if (store->Unify(head, chead) && store->Unify(body, cbody)) {
+      bool rule = clause.is_rule;
       pred->EraseClause(id);
       if (pred->incremental()) m.program()->NotifyIncrementalUpdate(*functor);
-      RepublishAfterErasure(m);
+      if (rule) RepublishAfterErasure(m);
       return BuiltinResult::kTrue;  // bindings stay, as in ISO retract
     }
     store->UndoTrail(trail);
@@ -633,6 +637,7 @@ BuiltinResult BuiltinRetractAll(Machine& m, Word goal, const GoalNode*) {
   Predicate* pred = m.program()->Lookup(*functor);
   if (pred == nullptr) return BuiltinResult::kTrue;
   bool erased_any = false;
+  bool erased_rule = false;
   for (ClauseId id : pred->Candidates(*store, head)) {
     const Clause& clause = pred->clause(id);
     if (clause.erased) continue;
@@ -644,6 +649,7 @@ BuiltinResult BuiltinRetractAll(Machine& m, Word goal, const GoalNode*) {
     if (store->Unify(head, chead)) {
       pred->EraseClause(id);
       erased_any = true;
+      erased_rule |= clause.is_rule;
     }
     store->UndoTrail(trail);
     store->TruncateHeap(heap);
@@ -651,7 +657,7 @@ BuiltinResult BuiltinRetractAll(Machine& m, Word goal, const GoalNode*) {
   if (erased_any && pred->incremental()) {
     m.program()->NotifyIncrementalUpdate(*functor);
   }
-  if (erased_any) RepublishAfterErasure(m);
+  if (erased_rule) RepublishAfterErasure(m);
   return BuiltinResult::kTrue;
 }
 
@@ -675,13 +681,15 @@ BuiltinResult BuiltinAbolish(Machine& m, Word goal, const GoalNode*) {
   Predicate* pred = m.program()->Lookup(f);
   if (pred != nullptr) {
     bool erased_any = pred->num_live_clauses() > 0;
+    bool erased_rule = false;
     for (ClauseId id = 0; id < pred->clauses().size(); ++id) {
+      erased_rule |= !pred->clause(id).erased && pred->clause(id).is_rule;
       pred->EraseClause(id);
     }
     if (erased_any && pred->incremental()) {
       m.program()->NotifyIncrementalUpdate(f);
     }
-    if (erased_any) RepublishAfterErasure(m);
+    if (erased_rule) RepublishAfterErasure(m);
   }
   return BuiltinResult::kTrue;
 }

@@ -292,6 +292,7 @@ Machine::StepResult Machine::CallUserPredicate(Word goal, FunctorId functor,
 Machine::StepResult Machine::DispatchGoal(const GoalNode** goals) {
   const GoalNode* node = *goals;
   Word goal = store_->Deref(node->goal);
+  ++goals_dispatched_;
 
   if (IsRef(goal)) {
     SetError(InstantiationError("call to an unbound variable"));

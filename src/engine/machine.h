@@ -218,6 +218,10 @@ class Machine {
   void SetError(Status status) { error_ = std::move(status); }
 
   size_t choice_point_count() const { return cps_.size(); }
+  // Goals dispatched since the machine was built, control constructs
+  // included: a query's first goal is the one dispatched when this reads
+  // one more than it did before the query started.
+  uint64_t goals_dispatched() const { return goals_dispatched_; }
   // Discards choice points above `depth` (the cut operation).
   void CutTo(size_t depth);
 
@@ -330,6 +334,7 @@ class Machine {
   std::vector<Word> clause_vars_;  // TryClause's clause-variable terms
 
   MachineStats stats_;
+  uint64_t goals_dispatched_ = 0;
   FunctorId counted_functor_ = 0;
   bool has_counted_functor_ = false;
 

@@ -116,19 +116,29 @@ void QueryService::WorkerLoop(Worker* worker) {
       queue_.pop_front();
       ++busy_workers_;
     }
+    bool requeue = false;
     {
       // The guard pins this thread's epoch for the whole query: any table
       // retired after this point stays allocated until we exit.
       EpochGuard guard(&db_.tables.epochs(), slot);
       std::vector<Answer> answers;
+      // A job's first run gives way when its first goal would wait on
+      // another worker's evaluation; its second run waits as usual.
+      worker->session.evaluator().AllowDeferral(!job.deferred);
       Status status = worker->session.Run(job.goal, [&answers](Answer&& a) {
         answers.push_back(std::move(a));
         return true;
       });
-      worker->queries_served.fetch_add(1, std::memory_order_relaxed);
-      if (status.ok()) {
+      worker->session.evaluator().AllowDeferral(false);
+      if (status.code() == ErrorCode::kDeferred) {
+        job.deferred = true;
+        requeue = true;
+        worker->deferrals.fetch_add(1, std::memory_order_relaxed);
+      } else if (status.ok()) {
+        worker->queries_served.fetch_add(1, std::memory_order_relaxed);
         job.promise.set_value(std::move(answers));
       } else {
+        worker->queries_served.fetch_add(1, std::memory_order_relaxed);
         worker->errors.fetch_add(1, std::memory_order_relaxed);
         job.promise.set_value(status);
       }
@@ -137,8 +147,11 @@ void QueryService::WorkerLoop(Worker* worker) {
     db_.tables.ReleaseRetiredAnswers();
     {
       std::lock_guard<std::mutex> lock(queue_mutex_);
+      // To the back: the jobs queued behind it run first.
+      if (requeue) queue_.push_back(std::move(job));
       --busy_workers_;
     }
+    if (requeue) queue_cv_.notify_one();
     idle_cv_.notify_all();
   }
   db_.tables.epochs().ReleaseSlot(slot);
@@ -173,7 +186,9 @@ QueryService::ServiceStats QueryService::Stats() const {
     ws.queries_served =
         worker->queries_served.load(std::memory_order_relaxed);
     ws.errors = worker->errors.load(std::memory_order_relaxed);
+    ws.deferrals = worker->deferrals.load(std::memory_order_relaxed);
     stats.queries_served += ws.queries_served;
+    stats.deferrals += ws.deferrals;
     stats.per_worker.push_back(ws);
   }
   const TableStats& ts = db_.tables.stats();

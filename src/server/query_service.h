@@ -48,6 +48,11 @@ namespace xsb {
 //     the completion condvar instead of duplicating the work. Dependencies
 //     that cross the owned mask mid-evaluation widen it non-blockingly or
 //     restart the batch under the full mask (coarse_fallbacks counter).
+//   * A query whose first goal is such a cold call, and would have to wait
+//     for another worker's shards or variant, is deferred once instead:
+//     the worker puts it at the back of the queue and serves the next
+//     query (Evaluator::AllowDeferral; deferrals counter). Its second run
+//     waits. Nothing ran before the deferred goal, so nothing runs twice.
 //   * Consult/Update are pause-the-world: the service drains in-flight
 //     queries, mutates the program on the control session (which owns the
 //     Program's update-listener slot, so incremental invalidation works),
@@ -97,10 +102,12 @@ class QueryService {
   struct WorkerStats {
     uint64_t queries_served = 0;
     uint64_t errors = 0;
+    uint64_t deferrals = 0;  // first runs that gave way and were requeued
   };
   struct ServiceStats {
     std::vector<WorkerStats> per_worker;
     uint64_t queries_served = 0;      // sum over workers
+    uint64_t deferrals = 0;           // sum over workers
     uint64_t shared_table_hits = 0;   // lock-free warm-table serves
     uint64_t waits_on_inprogress = 0; // callers parked on another batch
     uint64_t epochs_retired = 0;      // retired answer tables reclaimed
@@ -128,11 +135,13 @@ class QueryService {
     std::thread thread;
     std::atomic<uint64_t> queries_served{0};
     std::atomic<uint64_t> errors{0};
+    std::atomic<uint64_t> deferrals{0};
   };
 
   struct Job {
     std::string goal;
     std::promise<Result<std::vector<Answer>>> promise;
+    bool deferred = false;  // requeued once; its next run waits
   };
 
   void WorkerLoop(Worker* worker);

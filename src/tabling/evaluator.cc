@@ -31,6 +31,14 @@ Status RetryEvaluation() {
                 "shard escalation contended; restarting coarse");
 }
 
+// Internal unwind signal for a deferrable query (see
+// Evaluator::AllowDeferral): its first goal would have waited on another
+// session. Nothing has been evaluated or delivered yet; the QueryService
+// worker requeues the query — it never reaches the API.
+Status Deferred() {
+  return Status(ErrorCode::kDeferred, "evaluation busy; query requeued");
+}
+
 }  // namespace
 
 Evaluator::Evaluator(Machine* machine, TableSpace* tables, Options options)
@@ -57,6 +65,15 @@ Evaluator::~Evaluator() {
   if (machine_->program()->update_listener() == this) {
     machine_->program()->set_update_listener(nullptr);
   }
+}
+
+void Evaluator::AllowDeferral(bool allow) {
+  defer_mark_ = allow ? machine_->goals_dispatched() : kNoDeferral;
+}
+
+bool Evaluator::MayDefer() const {
+  return defer_mark_ != kNoDeferral && batches_.empty() &&
+         machine_->goals_dispatched() == defer_mark_ + 1;
 }
 
 void Evaluator::AbolishAllTables() {
@@ -309,6 +326,10 @@ TabledCallHandler::CallOutcome Evaluator::OnTabledCall(
         if (id == kNoSubgoal) break;
         const Subgoal& sg = tables_->subgoal(id);
         if (sg.state_acquire() != SubgoalState::kIncomplete) break;
+        if (MayDefer()) {
+          machine->SetError(Deferred());
+          return CallOutcome::kError;
+        }
         ++tables_->stats().waits_on_inprogress;
         tables_->WaitUntilComplete(id);
         if (TryServeWarm(machine, goal, cont)) {
@@ -624,12 +645,21 @@ Status Evaluator::Complete(Word goal, FunctorId functor, bool existential,
 
   // Top level: evaluate while owning the call's shard reach mask. A
   // contended mid-batch escalation unwinds back here and restarts under the
-  // full mask (coarse fallback).
+  // full mask (coarse fallback). A deferrable query gives way instead of
+  // waiting for busy shards, before it touches any table.
   for (bool coarse = false;;) {
     owned_shards_ = coarse || tables_->clear_pending()
                         ? kAllEvalShards
                         : ReachMask(functor, goal);
-    tables_->AcquireShards(owned_shards_);
+    if (!coarse && MayDefer()) {
+      if (!tables_->TryAcquireShards(owned_shards_)) {
+        owned_shards_ = 0;
+        return Deferred();
+      }
+      TableSpace::Perturb("shards.acquired");
+    } else {
+      tables_->AcquireShards(owned_shards_);
+    }
     if (owned_shards_ == kAllEvalShards && tables_->clear_pending()) {
       tables_->Clear();
     }

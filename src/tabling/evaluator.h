@@ -97,6 +97,15 @@ class Evaluator : public TabledCallHandler, public TableUpdateListener {
   // Drops all tables (exposed to benches; abolish_all_tables/0 equivalent).
   void AbolishAllTables();
 
+  // Deferral, for QueryService workers. While allowed, a top-level cold
+  // tabled call (or tnot/e_tnot/tfindall) that is the first goal the
+  // machine dispatches after this call does not wait for shards another
+  // session holds, nor for another session's evaluation of the same
+  // variant: it fails with the internal kDeferred status before touching
+  // any table, so the caller can run the query again later. Nothing has
+  // been evaluated, and no answer delivered, at that point.
+  void AllowDeferral(bool allow);
+
   struct EvalStats {
     uint64_t batches = 0;
     uint64_t early_completions = 0;
@@ -220,6 +229,10 @@ class Evaluator : public TabledCallHandler, public TableUpdateListener {
   // tabling; passed to TableSpace::LookupOrCreate at table creation.
   const TableSpec* SpecFor(FunctorId functor) const;
 
+  // True when deferral is allowed and the running goal is the first one
+  // dispatched since (see AllowDeferral), outside any batch.
+  bool MayDefer() const;
+
   Machine* machine_;
   TableSpace* tables_;
   bool early_completion_;
@@ -229,6 +242,9 @@ class Evaluator : public TabledCallHandler, public TableUpdateListener {
   // top-level cold evaluation (and its nested batches) runs; the session is
   // single-threaded, so no synchronization is needed on the member itself.
   ShardMask owned_shards_ = 0;
+  // Machine::goals_dispatched() when deferral was allowed, or kNoDeferral.
+  static constexpr uint64_t kNoDeferral = ~uint64_t{0};
+  uint64_t defer_mark_ = kNoDeferral;
   // Subgoals whose evaluation frames are active, innermost last.
   std::vector<SubgoalId> eval_stack_;
   EvalStats stats_;

@@ -233,8 +233,13 @@ void InternTable::AppendExpansion(Word token, std::vector<Word>* out) const {
 }
 
 FlatTerm InternTable::Decode(const std::vector<Word>& tokens) const {
+  // Expanded into a warm per-thread scratch, then copied out at its exact
+  // size: one allocation per decoded term.
+  static thread_local std::vector<Word> scratch;
+  scratch.clear();
+  for (Word token : tokens) AppendExpansion(token, &scratch);
   FlatTerm out;
-  for (Word token : tokens) AppendExpansion(token, &out.cells);
+  out.cells.assign(scratch.begin(), scratch.end());
   for (Word w : out.cells) {
     if (IsLocal(w)) {
       uint32_t ordinal = static_cast<uint32_t>(PayloadOf(w));

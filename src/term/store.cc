@@ -1,6 +1,8 @@
 #include "term/store.h"
 
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 namespace xsb {
 
@@ -100,9 +102,10 @@ bool TermStore::Identical(Word a, Word b) const {
 }
 
 int TermStore::Compare(Word a, Word b) const {
-  a = Deref(a);
-  b = Deref(b);
-  if (a == b) return 0;
+  // Pairs still to compare, on an explicit per-thread stack: arguments are
+  // pushed last first, so pairs are compared in standard (left-to-right,
+  // depth-first) order and the first difference decides.
+  static thread_local std::vector<std::pair<Word, Word>> work;
   auto rank = [](Word w) {
     switch (TagOf(w)) {
       case Tag::kRef:
@@ -115,36 +118,47 @@ int TermStore::Compare(Word a, Word b) const {
         return 3;
     }
   };
-  int ra = rank(a), rb = rank(b);
-  if (ra != rb) return ra < rb ? -1 : 1;
-  switch (TagOf(a)) {
-    case Tag::kRef:
-      return PayloadOf(a) < PayloadOf(b) ? -1 : 1;
-    case Tag::kInt: {
-      int64_t va = IntValue(a), vb = IntValue(b);
-      return va < vb ? -1 : (va > vb ? 1 : 0);
-    }
-    case Tag::kAtom: {
-      const std::string& na = symbols_->AtomName(AtomOf(a));
-      const std::string& nb = symbols_->AtomName(AtomOf(b));
-      return na.compare(nb) < 0 ? -1 : (na == nb ? 0 : 1);
-    }
-    default: {
-      int aa = StructArity(a), ab = StructArity(b);
-      if (aa != ab) return aa < ab ? -1 : 1;
-      const std::string& na =
-          symbols_->AtomName(symbols_->FunctorAtom(StructFunctor(a)));
-      const std::string& nb =
-          symbols_->AtomName(symbols_->FunctorAtom(StructFunctor(b)));
-      int c = na.compare(nb);
-      if (c != 0) return c < 0 ? -1 : 1;
-      for (int i = 0; i < aa; ++i) {
-        c = Compare(Arg(a, i), Arg(b, i));
-        if (c != 0) return c;
+  work.clear();
+  work.emplace_back(a, b);
+  while (!work.empty()) {
+    auto [x, y] = work.back();
+    work.pop_back();
+    x = Deref(x);
+    y = Deref(y);
+    if (x == y) continue;
+    int rx = rank(x), ry = rank(y);
+    if (rx != ry) return rx < ry ? -1 : 1;
+    switch (TagOf(x)) {
+      case Tag::kRef:
+        return PayloadOf(x) < PayloadOf(y) ? -1 : 1;
+      case Tag::kInt: {
+        int64_t vx = IntValue(x), vy = IntValue(y);
+        if (vx != vy) return vx < vy ? -1 : 1;
+        continue;
       }
-      return 0;
+      case Tag::kAtom: {
+        const std::string& nx = symbols_->AtomName(AtomOf(x));
+        const std::string& ny = symbols_->AtomName(AtomOf(y));
+        int c = nx.compare(ny);
+        if (c != 0) return c < 0 ? -1 : 1;
+        continue;
+      }
+      default: {
+        int ax = StructArity(x), ay = StructArity(y);
+        if (ax != ay) return ax < ay ? -1 : 1;
+        const std::string& nx =
+            symbols_->AtomName(symbols_->FunctorAtom(StructFunctor(x)));
+        const std::string& ny =
+            symbols_->AtomName(symbols_->FunctorAtom(StructFunctor(y)));
+        int c = nx.compare(ny);
+        if (c != 0) return c < 0 ? -1 : 1;
+        for (int i = ax - 1; i >= 0; --i) {
+          work.emplace_back(Arg(x, i), Arg(y, i));
+        }
+      }
     }
   }
+  return 0;
 }
 
 bool TermStore::IsGround(Word t) const {
@@ -166,10 +180,13 @@ bool TermStore::IsGround(Word t) const {
 
 Word TermStore::CopyTerm(Word t) {
   std::unordered_map<uint64_t, Word> var_map;
-  // Recursive copy via explicit stack: first pass computes nothing; we copy
-  // structurally. Use recursion through a lambda with depth bounded by term
-  // depth (fine for our workloads) to keep the code simple.
-  auto copy = [&](auto&& self, Word x) -> Word {
+  // Argument slots of the copy still to fill, each with the source term it
+  // copies: an explicit stack, so a deep term costs heap, not C++ stack.
+  std::vector<std::pair<uint64_t, Word>> work;
+  // The copy of `x` as one cell. A compound's block is allocated here and
+  // its arguments queued last first, so they are copied left to right and
+  // fresh variables are made in the order they occur.
+  auto copy_cell = [&](Word x) -> Word {
     x = Deref(x);
     if (IsRef(x)) {
       auto it = var_map.find(PayloadOf(x));
@@ -179,13 +196,20 @@ Word TermStore::CopyTerm(Word t) {
       return v;
     }
     if (!IsStruct(x)) return x;
-    FunctorId f = StructFunctor(x);
-    int arity = symbols_->FunctorArity(f);
-    std::vector<Word> args(arity);
-    for (int i = 0; i < arity; ++i) args[i] = self(self, Arg(x, i));
-    return MakeStruct(f, args);
+    Word copy = MakeStructUninit(StructFunctor(x));
+    for (int i = StructArity(x) - 1; i >= 0; --i) {
+      work.emplace_back(PayloadOf(copy) + 1 + i, Arg(x, i));
+    }
+    return copy;
   };
-  return copy(copy, t);
+  Word root = copy_cell(t);
+  while (!work.empty()) {
+    auto [slot, x] = work.back();
+    work.pop_back();
+    Word cell = copy_cell(x);
+    heap_[slot] = cell;
+  }
+  return root;
 }
 
 }  // namespace xsb

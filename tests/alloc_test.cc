@@ -1,6 +1,7 @@
 // Steady-state operations of the query path that must not touch the global
 // allocator: a duplicate answer insert, a factored answer return, and a
-// first-argument-indexed fact call. This binary replaces the global
+// first-argument-indexed fact call; and the call template of a new subgoal,
+// which must cost exactly one allocation. This binary replaces the global
 // operator new to count calls, so it is kept apart from the other suites.
 // Sanitizer runtimes own the allocator, so there the tests skip.
 
@@ -17,6 +18,7 @@
 #include "parser/reader.h"
 #include "tabling/table_space.h"
 #include "term/flat.h"
+#include "term/intern.h"
 #include "term/store.h"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -165,6 +167,24 @@ TEST_F(ZeroAllocation, FirstArgumentIndexedFactCall) {
   }
   EXPECT_EQ(solutions, 2);
   EXPECT_EQ(machine.stats().head_unifications, 2u);
+}
+
+// A new subgoal's call template is decoded from its call-trie tokens into a
+// FlatTerm of exactly its size: one allocation, however long the call.
+TEST_F(ZeroAllocation, CallTemplateDecodeAllocatesOnce) {
+  InternTable interns(&symbols_);
+  TokenScratch scratch;
+  // Open compounds do not intern, so the template expands to many cells.
+  Word call = Parse("p(f(X, g(Y, [a, b, c, d, e, f, g, h])), X, h(Z, Y, 3))");
+  interns.EncodeHeap(store_, call, &scratch, nullptr);
+  FlatTerm warm = interns.Decode(scratch.tokens);
+  ASSERT_GT(warm.size(), 20u);
+  uint64_t before = Allocations();
+  FlatTerm decoded = interns.Decode(scratch.tokens);
+  EXPECT_EQ(Allocations() - before, 1u);
+  EXPECT_EQ(decoded.cells.capacity(), decoded.cells.size());
+  EXPECT_EQ(decoded.cells, Flatten(store_, call).cells);
+  EXPECT_EQ(decoded.num_vars, 3u);
 }
 
 }  // namespace

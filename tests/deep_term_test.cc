@@ -1,8 +1,9 @@
 // Terms nested far deeper than the C++ stack could recurse: the walks that
 // move terms between the heap and table space (the heap-to-token encoder,
 // the token-to-heap unifier and builder, clause head unification, and token
-// expansion) keep their work on explicit stacks. Each query ends in `fail`,
-// so no answer is rendered (the writer still recurses).
+// expansion), copy_term/2 and the standard order of terms keep their work on
+// explicit stacks. Each query ends in `fail`, so no answer is rendered (the
+// writer still recurses).
 
 #include <gtest/gtest.h>
 
@@ -49,6 +50,26 @@ TEST_F(DeepTerms, TabledCallAMillionDeep) {
   // The call trie encodes the call; its template is decoded, rebuilt and
   // unified with the clause head, and the answer unified back.
   ExpectFails("long(L), with_call(L), fail");
+}
+
+TEST_F(DeepTerms, CopyTermAMillionDeep) {
+  ExpectFails("long(L), copy_term(L, L2), fail");
+  // The copy is a fresh term equal to the original, variables renamed.
+  ExpectFails(
+      "findall(f(_), between(1, 1000000, _), L), copy_term(L, L2), "
+      "L2 = [f(A)|_], var(A), L \\== L2, length(L2, 1000000), fail");
+}
+
+TEST_F(DeepTerms, CompareAMillionDeep) {
+  // Equal lists compare to the very end; the standard-order builtins share
+  // the walk.
+  ExpectFails("long(L), long(M), compare(O, L, M), O == (=), fail");
+  ExpectFails("long(L), long(M), L @< M");
+  ExpectFails("long(L), msort([L, L], S), fail");
+  // A difference at the last element decides.
+  ExpectFails(
+      "long(L), findall(X, (between(1, 1000000, I), X is I // 1000000), "
+      "M), compare(O, L, M), O == (<), fail");
 }
 
 TEST_F(DeepTerms, RecursiveChainIntoAndOutOfATable) {

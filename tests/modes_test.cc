@@ -402,6 +402,73 @@ TEST(ModeRepublication, RetractallAndAbolishAlsoRepublish) {
   EXPECT_EQ(qc.value(), 2u);
 }
 
+// What the analyzer publishes per predicate for the evaluator to read.
+struct Published {
+  int shard;
+  ShardMask reach;
+  std::vector<FunctorId> deps;
+  bool has_key_masks;
+
+  bool operator==(const Published& o) const {
+    return shard == o.shard && reach == o.reach && deps == o.deps &&
+           has_key_masks == o.has_key_masks;
+  }
+};
+
+std::vector<Published> PublishedState(Engine& engine) {
+  std::vector<Published> out;
+  for (const auto& pred : engine.program().predicates()) {
+    if (pred == nullptr) continue;
+    const std::vector<FunctorId>* deps =
+        engine.program().IncrementalDepsOf(pred->functor());
+    out.push_back({pred->eval_shard(), pred->eval_reach_mask(),
+                   deps == nullptr ? std::vector<FunctorId>() : *deps,
+                   pred->key_masks() != nullptr});
+  }
+  return out;
+}
+
+TEST(ModeRepublication, FactErasureKeepsPublishedAnalysis) {
+  Engine engine;
+  ASSERT_TRUE(engine
+                  .ConsultString(":- table p/1.\n"
+                                 ":- table q/1.\n"
+                                 ":- incremental(e/1).\n"
+                                 "p(0).\n"
+                                 "q(X) :- e(X).\n"
+                                 "e(1). e(2). e(3).\n"
+                                 "f(1). f(2).\n")
+                  .ok());
+  const Predicate* p = engine.program().Lookup(Functor(engine, "p", 1));
+  const Predicate* q = engine.program().Lookup(Functor(engine, "q", 1));
+  // Rules asserted after the analysis leave p's mask stale: it lacks q's
+  // shard (the in-batch escalation repairs that at run time). Only erasing
+  // a rule re-runs the analysis, so the stale mask survives fact erasures
+  // unchanged: they publish nothing.
+  ASSERT_EQ(engine.Count("assertz((p(X) :- q(X)))").value(), 1u);
+  ASSERT_EQ(engine.Count("assertz((p(X) :- q(X), X > 0))").value(), 1u);
+  ASSERT_EQ(p->eval_reach_mask() & EvalShardBit(q->eval_shard()), 0u);
+  std::vector<Published> before = PublishedState(engine);
+  ASSERT_EQ(engine.Count("q(X)").value(), 3u);
+
+  ASSERT_EQ(engine.Count("retract(e(1))").value(), 1u);
+  EXPECT_TRUE(PublishedState(engine) == before);
+  ASSERT_TRUE(engine.Count("retractall(e(2))").ok());
+  EXPECT_TRUE(PublishedState(engine) == before);
+  ASSERT_TRUE(engine.Count("abolish(f/1)").ok());
+  EXPECT_TRUE(PublishedState(engine) == before);
+
+  // Table invalidation is unchanged: the erased facts are gone from q's
+  // table, and p's asserted rule still reaches it.
+  EXPECT_EQ(engine.Count("q(X)").value(), 1u);
+  EXPECT_EQ(engine.Count("p(X)").value(), 2u);
+
+  // Erasing a rule does re-run the analysis, against the program as it now
+  // is: the remaining asserted rule puts q's shard into p's mask.
+  ASSERT_EQ(engine.Count("retract((p(X) :- q(X), X > 0))").value(), 1u);
+  EXPECT_NE(p->eval_reach_mask() & EvalShardBit(q->eval_shard()), 0u);
+}
+
 // --- Property sweep: mode-published engine vs bottom-up oracle ---------------
 
 // Random digraphs as in differential_test.cc, kept small enough for tier1.

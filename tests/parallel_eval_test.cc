@@ -383,6 +383,168 @@ TEST(ParallelEvalTest, CyclicCrossShardProgramCompletes) {
 // The published reach masks really partition independent families: every
 // family owns its own shard bit and no two families' masks intersect (up to
 // the 16-shard modulus, which this small program cannot collide).
+// --- Deferral: a cold first goal gives way instead of waiting -----------------
+
+// Polls `done` for up to ten seconds.
+template <typename Pred>
+bool Eventually(Pred done) {
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+// Schedule control for the deferral tests, installed as the perturbation
+// hook: counts blocking shard acquisitions, holds every non-blocking one
+// while the gate is closed (so a test can queue several jobs before a
+// worker looks at the first), and optionally holds the first batch to
+// reach publication, its tables still incomplete.
+std::atomic<int> g_blocking_acquires{0};
+std::atomic<bool> g_try_gate_closed{false};
+std::atomic<bool> g_hold_publish{false};
+std::atomic<bool> g_publish_held{false};
+
+void DeferralHook(const char* point) {
+  std::string_view p(point);
+  if (p == "shards.acquire") {
+    g_blocking_acquires.fetch_add(1);
+  } else if (p == "shards.try") {
+    Eventually([] { return !g_try_gate_closed.load(); });
+  } else if (p == "batch.publish") {
+    bool expected = true;
+    if (!g_hold_publish.compare_exchange_strong(expected, false)) return;
+    g_publish_held.store(true);
+    Eventually([] { return !g_publish_held.load(); });
+  }
+}
+
+class ParallelEvalDeferral : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    g_blocking_acquires.store(0);
+    g_try_gate_closed.store(false);
+    g_hold_publish.store(false);
+    g_publish_held.store(false);
+    TableSpace::SetSchedulePerturb(&DeferralHook);
+  }
+  void TearDown() override { TableSpace::SetSchedulePerturb(nullptr); }
+
+  static bool Ready(
+      const std::future<Result<std::vector<Answer>>>& f,
+      std::chrono::milliseconds wait = std::chrono::milliseconds(0)) {
+    return f.wait_for(wait) == std::future_status::ready;
+  }
+
+  static ShardMask OwnShard(QueryService& service, const char* name) {
+    SymbolTable* symbols = service.program().symbols();
+    const Predicate* pred = service.program().Lookup(
+        symbols->InternFunctor(symbols->InternAtom(name), 2));
+    EXPECT_NE(pred, nullptr);
+    EXPECT_GE(pred->eval_shard(), 0);
+    return EvalShardBit(pred->eval_shard());
+  }
+};
+
+// With family A's shard held, a cold A query is requeued and the B query
+// queued behind it runs on the one worker; A completes once A's shard is
+// free. Without deferral B waits behind A until the shard is released.
+TEST_F(ParallelEvalDeferral, QueryBehindABusyShardDoesNotBlockTheNext) {
+  QueryService service({.num_workers = 1});
+  ASSERT_TRUE(
+      service.Consult(IndependentFamilies(2, 10, 21, /*extras=*/false)).ok());
+  ShardMask held = OwnShard(service, "path0");
+  ASSERT_EQ(held & OwnShard(service, "path1"), 0u);
+  service.tables().AcquireShards(held);
+  g_try_gate_closed.store(true);
+  auto a = service.Submit("path0(1, X)");
+  auto b = service.Submit("path1(1, X)");
+  g_try_gate_closed.store(false);
+  EXPECT_TRUE(Ready(b, std::chrono::seconds(10)))
+      << "the B query waited behind the blocked A query";
+  EXPECT_FALSE(Ready(a)) << "A ran while its shard was held";
+  service.tables().ReleaseShards(held);
+  EXPECT_EQ(SortedAnswers(a.get()).size(), 9u);
+  EXPECT_EQ(SortedAnswers(b.get()).size(), 9u);
+  QueryService::ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.deferrals, 1u);
+  EXPECT_EQ(stats.queries_served, 2u);
+}
+
+// A deferred job's second run waits: with nothing else queued, the worker
+// picks the job again and parks on the busy shard instead of requeueing it
+// over and over.
+TEST_F(ParallelEvalDeferral, AJobIsDeferredAtMostOnce) {
+  QueryService service({.num_workers = 1});
+  ASSERT_TRUE(
+      service.Consult(IndependentFamilies(2, 10, 22, /*extras=*/false)).ok());
+  ShardMask held = OwnShard(service, "path0");
+  service.tables().AcquireShards(held);
+  g_blocking_acquires.store(0);  // the test's own acquisition
+  auto a = service.Submit("path0(1, X)");
+  EXPECT_TRUE(Eventually([&] { return g_blocking_acquires.load() > 0; }))
+      << "the requeued job never waited for the shard";
+  EXPECT_EQ(service.Stats().deferrals, 1u);
+  EXPECT_FALSE(Ready(a, std::chrono::milliseconds(20)));
+  EXPECT_EQ(service.Stats().deferrals, 1u);
+  service.tables().ReleaseShards(held);
+  EXPECT_EQ(SortedAnswers(a.get()).size(), 9u);
+  EXPECT_EQ(service.Stats().deferrals, 1u);
+  EXPECT_EQ(service.Stats().queries_served, 1u);
+}
+
+// Only a query's first goal may defer: here the cold call comes after an
+// assertz, so the query waits for the shard rather than run twice, and the
+// side effect happens once.
+TEST_F(ParallelEvalDeferral, GoalAfterASideEffectWaitsInstead) {
+  QueryService service({.num_workers = 1});
+  ASSERT_TRUE(
+      service.Consult(IndependentFamilies(2, 10, 23, /*extras=*/false)).ok());
+  ShardMask held = OwnShard(service, "path0");
+  service.tables().AcquireShards(held);
+  g_blocking_acquires.store(0);  // the test's own acquisition
+  auto a = service.Submit("assertz(mark(1)), path0(1, X)");
+  EXPECT_TRUE(Eventually([&] { return g_blocking_acquires.load() > 0; }))
+      << "the query never reached the busy shard";
+  EXPECT_FALSE(Ready(a, std::chrono::milliseconds(20)));
+  service.tables().ReleaseShards(held);
+  EXPECT_EQ(SortedAnswers(a.get()).size(), 9u);
+  EXPECT_EQ(service.Stats().deferrals, 0u);
+  EXPECT_EQ(SortedAnswers(service.Query("mark(X)")),
+            std::vector<std::string>{"X = 1"});
+}
+
+// The other wait a first goal can meet: its variant is being evaluated by
+// another worker. The second caller gives way to the next query, then
+// waits for the evaluation on its second run.
+TEST_F(ParallelEvalDeferral, VariantInProgressGivesWayToTheNextQuery) {
+  QueryService service({.num_workers = 2});
+  ASSERT_TRUE(
+      service.Consult(IndependentFamilies(3, 10, 24, /*extras=*/false)).ok());
+  // The first evaluation of path0(1, X) stops just before it publishes,
+  // its table still incomplete.
+  g_hold_publish.store(true);
+  auto first = service.Submit("path0(1, X)");
+  ASSERT_TRUE(Eventually([] { return g_publish_held.load(); }));
+  // The other worker is kept on a path2 query until both of the next two
+  // jobs are queued.
+  g_try_gate_closed.store(true);
+  auto gate = service.Submit("path2(1, X)");
+  auto second = service.Submit("path0(1, X)");
+  auto other = service.Submit("path1(1, X)");
+  g_try_gate_closed.store(false);
+  EXPECT_TRUE(Ready(other, std::chrono::seconds(10)))
+      << "the path1 query waited behind the parked path0 caller";
+  EXPECT_FALSE(Ready(second));
+  g_publish_held.store(false);
+  EXPECT_EQ(SortedAnswers(first.get()).size(), 9u);
+  EXPECT_EQ(SortedAnswers(gate.get()).size(), 9u);
+  EXPECT_EQ(SortedAnswers(second.get()).size(), 9u);
+  EXPECT_EQ(SortedAnswers(other.get()).size(), 9u);
+  EXPECT_EQ(service.Stats().deferrals, 1u);
+}
+
 TEST(ParallelEvalTest, AnalyzerPublishesDisjointReachMasks) {
   QueryService service({.num_workers = 1});
   ASSERT_TRUE(service.Consult(IndependentFamilies(4, 6, 3)).ok());
