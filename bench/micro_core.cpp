@@ -104,7 +104,8 @@ void BM_AnswerInsertTrie(benchmark::State& state) {
   for (auto _ : state) {
     size_t trail = f.store.TrailMark();
     f.store.Bind(var, IntCell(i++ % 4096));
-    benchmark::DoNotOptimize(tables.AddAnswer(id, f.store, goal));
+    size_t saved = 0;
+    benchmark::DoNotOptimize(tables.AddAnswer(id, f.store, goal, &saved));
     f.store.UndoTrail(trail);
   }
 }

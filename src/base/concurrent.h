@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -26,8 +27,10 @@ namespace xsb {
 
 // Append-only arena over geometrically growing blocks. Indices are dense and
 // stable; block 0 holds 2^kBaseShift elements and each further block doubles,
-// so element `i` is located with one bit_width and two loads — close enough
-// to a vector index that the tabling hot path keeps its cost profile.
+// so element `i` is located with one compare in block 0 and otherwise one
+// bit_width — close enough to a vector index that the tabling hot path keeps
+// its cost profile. Every arena here is addressed by a 32-bit id, so the
+// block-pointer array holds just the blocks that 2^32 elements fill.
 //
 // Thread contract: any number of concurrent readers (operator[], size) race
 // safely against ONE appender (EmplaceBack/AppendRun). Appenders must be
@@ -36,7 +39,10 @@ template <typename T, size_t kBaseShift = 9>
 class ConcurrentArena {
  public:
   static constexpr size_t kBase = size_t{1} << kBaseShift;
-  static constexpr size_t kMaxBlocks = 40;
+  // Blocks 0..b hold kBase * (2^(b+1) - 1) elements: 33 - kBaseShift blocks
+  // reach past index 2^32 - 1.
+  static constexpr size_t kMaxBlocks = 33 - kBaseShift;
+  static_assert(kBaseShift < 32);
 
   ConcurrentArena() = default;
   ConcurrentArena(const ConcurrentArena&) = delete;
@@ -143,6 +149,11 @@ class ConcurrentArena {
   static constexpr size_t BlockCapacity(size_t b) { return kBase << b; }
 
   static void Locate(size_t i, size_t* b, size_t* off) {
+    if (i < kBase) {
+      *b = 0;
+      *off = i;
+      return;
+    }
     size_t q = (i >> kBaseShift) + 1;
     size_t bb = static_cast<size_t>(std::bit_width(q)) - 1;
     *b = bb;
@@ -150,6 +161,9 @@ class ConcurrentArena {
   }
 
   T* EnsureBlock(size_t b) {
+    if (b >= kMaxBlocks) {
+      throw std::length_error("ConcurrentArena: index past the 32-bit range");
+    }
     T* block = blocks_[b].load(std::memory_order_relaxed);
     if (block == nullptr) {
       block = static_cast<T*>(::operator new(
@@ -199,6 +213,10 @@ class ConcurrentArena {
 // Find that returns a value is definitive. Growth copies into a fresh slot
 // array and publishes it; superseded arrays are retired until destruction,
 // so a reader probing a stale array sees (at worst) an advisory miss.
+//
+// Clear empties the map for reuse (a recycled answer trie's escalated
+// indexes), keeping its first slot array: a cleared map costs what a new
+// one costs, and refilling it allocates only to grow.
 class AtomicKeyMap {
  public:
   static constexpr uint64_t kEmptyKey = ~uint64_t{0};  // never a valid key
@@ -212,6 +230,33 @@ class AtomicKeyMap {
   ~AtomicKeyMap() {
     delete current_.load(std::memory_order_relaxed);
     for (Table* t : retired_) delete t;
+  }
+
+  // Empties the map to the state of AtomicKeyMap(initial_capacity): the slot
+  // array of that size is kept, emptied, and the larger ones are freed.
+  // Writer only, and only when no reader can be live.
+  void Clear(size_t initial_capacity) {
+    size_t capacity = Capacity(initial_capacity);
+    Table* keep = nullptr;
+    auto sort = [&](Table* t) {
+      if (keep == nullptr && t->capacity == capacity) {
+        keep = t;
+      } else {
+        delete t;
+      }
+    };
+    sort(current_.load(std::memory_order_relaxed));
+    for (Table* t : retired_) sort(t);
+    retired_.clear();
+    if (keep == nullptr) {
+      keep = NewTable(capacity);
+    } else {
+      for (size_t i = 0; i < capacity; ++i) {
+        keep->slots[i].key.store(kEmptyKey, std::memory_order_relaxed);
+      }
+      keep->used = 0;
+    }
+    current_.store(keep, std::memory_order_release);
   }
 
   uint32_t Find(uint64_t key) const {
@@ -263,9 +308,13 @@ class AtomicKeyMap {
     return key;
   }
 
+  static size_t Capacity(size_t requested) {
+    return std::bit_ceil(requested < 16 ? size_t{16} : requested);
+  }
+
   static Table* NewTable(size_t capacity) {
     Table* t = new Table;
-    t->capacity = std::bit_ceil(capacity < 16 ? size_t{16} : capacity);
+    t->capacity = Capacity(capacity);
     t->slots = std::make_unique<Slot[]>(t->capacity);
     return t;
   }

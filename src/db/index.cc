@@ -29,23 +29,24 @@ size_t FlatArgPos(const SymbolTable& symbols, const std::vector<Word>& cells,
   return p;
 }
 
+ClauseList& ClauseBuckets::FindOrCreate(uint64_t key, const ClauseList& seed) {
+  uint32_t i = map_.Find(key);
+  if (i != AtomicKeyMap::kNotFound) return lists_[i];
+  lists_.push_back(seed);
+  map_.Insert(key, static_cast<uint32_t>(lists_.size() - 1));
+  return lists_.back();
+}
+
 void ArgHashIndex::Insert(ClauseId id, Word key, bool at_front) {
   if (key == 0) {
     // Variable in the indexed position: matches every key, so add to all
     // current buckets and remember it for buckets created later.
     var_clauses_.Add(id, at_front);
-    for (auto& [k, bucket] : buckets_) bucket.Add(id, at_front);
+    buckets_.AddToAll(id, at_front);
     return;
   }
-  auto [it, inserted] = buckets_.try_emplace(key);
-  if (inserted) it->second = var_clauses_;  // seed with earlier var clauses
-  it->second.Add(id, at_front);
-}
-
-const ClauseList& ArgHashIndex::Lookup(Word key) const {
-  auto it = buckets_.find(key);
-  if (it == buckets_.end()) return var_clauses_;
-  return it->second;
+  // A new bucket is seeded with the earlier var clauses.
+  buckets_.FindOrCreate(key, var_clauses_).Add(id, at_front);
 }
 
 uint64_t CombinedHashIndex::HashKeys(const Word* keys, size_t n) {
@@ -54,7 +55,7 @@ uint64_t CombinedHashIndex::HashKeys(const Word* keys, size_t n) {
     h ^= keys[i];
     h *= 1099511628211ULL;
   }
-  return h;
+  return h == AtomicKeyMap::kEmptyKey ? h - 1 : h;
 }
 
 bool CombinedHashIndex::Keyable(const std::vector<Word>& keys) {
@@ -68,19 +69,11 @@ void CombinedHashIndex::Insert(ClauseId id, const std::vector<Word>& keys,
                                bool at_front) {
   if (!Keyable(keys)) {
     catch_all_.Add(id, at_front);
-    for (auto& [k, bucket] : buckets_) bucket.Add(id, at_front);
+    buckets_.AddToAll(id, at_front);
     return;
   }
-  auto [it, inserted] =
-      buckets_.try_emplace(HashKeys(keys.data(), keys.size()));
-  if (inserted) it->second = catch_all_;
-  it->second.Add(id, at_front);
-}
-
-const ClauseList& CombinedHashIndex::Lookup(const Word* keys) const {
-  auto it = buckets_.find(HashKeys(keys, args_.size()));
-  if (it == buckets_.end()) return catch_all_;
-  return it->second;
+  buckets_.FindOrCreate(HashKeys(keys.data(), keys.size()), catch_all_)
+      .Add(id, at_front);
 }
 
 }  // namespace xsb

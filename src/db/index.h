@@ -3,11 +3,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <iterator>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "base/concurrent.h"
 #include "term/flat.h"
 
 namespace xsb {
@@ -117,11 +118,32 @@ class CandidateView {
 
 // --- Hash indexes ------------------------------------------------------------
 
+// The buckets of a hash index: an open-addressed AtomicKeyMap from a 64-bit
+// key to the index of a ClauseList. The lists live in a deque, so a list
+// keeps its address — which open CandidateViews rely on — while the index
+// grows.
+class ClauseBuckets {
+ public:
+  // The list for `key`, or null.
+  const ClauseList* Find(uint64_t key) const {
+    uint32_t i = map_.Find(key);
+    return i == AtomicKeyMap::kNotFound ? nullptr : &lists_[i];
+  }
+  // The list for `key`, created as a copy of `seed` if absent.
+  ClauseList& FindOrCreate(uint64_t key, const ClauseList& seed);
+  // Adds `id` to every list.
+  void AddToAll(ClauseId id, bool at_front) {
+    for (ClauseList& list : lists_) list.Add(id, at_front);
+  }
+
+ private:
+  AtomicKeyMap map_;
+  std::deque<ClauseList> lists_;
+};
+
 // Hash index on the outer symbol of one argument position. Clauses whose
 // indexed argument is a variable appear in every bucket (and in the bucket
-// seeded for keys unseen so far), preserving clause order. Buckets are hash
-// nodes, so a bucket keeps its address — which open CandidateViews rely on
-// — while the index grows.
+// seeded for keys unseen so far), preserving clause order.
 class ArgHashIndex {
  public:
   explicit ArgHashIndex(int arg) : arg_(arg) {}
@@ -135,17 +157,23 @@ class ArgHashIndex {
   // Candidate clauses for a call whose indexed argument has key `key`
   // (0 = unbound: caller should scan all clauses instead). The list stays
   // at its address while the index lives.
-  const ClauseList& Lookup(Word key) const;
+  const ClauseList& Lookup(Word key) const {
+    // Atom, integer and functor cells are keys; none is AtomicKeyMap's
+    // empty key (a cell with the unused tag 7).
+    const ClauseList* list = buckets_.Find(key);
+    return list == nullptr ? var_clauses_ : *list;
+  }
 
  private:
   int arg_;
-  std::unordered_map<Word, ClauseList> buckets_;
+  ClauseBuckets buckets_;
   ClauseList var_clauses_;
 };
 
 // A multi-field index: one combined hash over the outer symbols of a set of
 // argument positions (at most 3, as in the paper). Only usable when every
-// position in the set is bound in the call.
+// position in the set is bound in the call. Keys whose hashes collide share
+// a bucket; unification filters the candidates anyway.
 class CombinedHashIndex {
  public:
   static constexpr size_t kMaxFields = 3;
@@ -158,16 +186,20 @@ class CombinedHashIndex {
   // `keys` holds one key per field in args() order, none of them 0 (an
   // unbound field makes the index unusable; the caller moves on to the next
   // index in declaration order).
-  const ClauseList& Lookup(const Word* keys) const;
+  const ClauseList& Lookup(const Word* keys) const {
+    const ClauseList* list = buckets_.Find(HashKeys(keys, args_.size()));
+    return list == nullptr ? catch_all_ : *list;
+  }
 
   // True if the clause can be keyed (no variable among indexed args).
   static bool Keyable(const std::vector<Word>& keys);
 
  private:
+  // Never AtomicKeyMap's empty key.
   static uint64_t HashKeys(const Word* keys, size_t n);
 
   std::vector<int> args_;
-  std::unordered_map<uint64_t, ClauseList> buckets_;
+  ClauseBuckets buckets_;
   ClauseList catch_all_;  // clauses with a variable in a keyed arg
 };
 

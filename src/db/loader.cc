@@ -29,7 +29,7 @@ Status Loader::ForEachPredSpec(Word spec,
   spec = store_->Deref(spec);
   // Allow conjunctions and lists of specs.
   FunctorId comma = symbols->InternFunctor(symbols->comma(), 2);
-  FunctorId cons = symbols->InternFunctor(symbols->dot(), 2);
+  FunctorId cons = symbols->cons();
   if (IsStruct(spec)) {
     FunctorId f = store_->StructFunctor(spec);
     if (f == comma || f == cons) {
@@ -51,7 +51,7 @@ Status Loader::HandleTableSpec(Word spec) {
   // Conjunctions and lists mix freely; each element is either Name/Arity or
   // an answer-subsumption template like `p(_, min)`.
   FunctorId comma = symbols->InternFunctor(symbols->comma(), 2);
-  FunctorId cons = symbols->InternFunctor(symbols->dot(), 2);
+  FunctorId cons = symbols->cons();
   if (IsStruct(spec)) {
     FunctorId f = store_->StructFunctor(spec);
     if (f == comma || f == cons) {
@@ -166,7 +166,7 @@ Status Loader::HandleIndexSpec(Word pred_spec, Word index_spec) {
     Status s = parse_field_set(index_spec);
     if (!s.ok()) return s;
   } else {
-    FunctorId cons = symbols->InternFunctor(symbols->dot(), 2);
+    FunctorId cons = symbols->cons();
     Word cur = index_spec;
     while (true) {
       cur = store_->Deref(cur);

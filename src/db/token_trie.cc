@@ -39,7 +39,13 @@ TokenTrie::NodeId TokenTrie::Extend(NodeId id, Word token, bool* created) {
     // sibling chain, then publish the map index with a release store. The
     // chain stays intact, so a reader holding the pre-escalation view of
     // the node still walks it correctly.
-    auto* map = new AtomicKeyMap(4 * kHashThreshold);
+    AtomicKeyMap* map;
+    if (spare_maps_.empty()) {
+      map = new AtomicKeyMap(4 * kHashThreshold);
+    } else {
+      map = spare_maps_.back();
+      spare_maps_.pop_back();
+    }
     for (NodeId c = node.first_child.load(std::memory_order_relaxed);
          c != kNilNode; c = nodes_[c].next_sibling) {
       map->Insert(nodes_[c].token, c);
@@ -93,7 +99,11 @@ size_t TokenTrie::used_bytes() const {
 }
 
 void TokenTrie::Clear() {
-  FreeChildMaps();
+  size_t num_maps = child_maps_.size();
+  for (size_t i = 0; i < num_maps; ++i) {
+    child_maps_[i]->Clear(4 * kHashThreshold);
+    spare_maps_.push_back(child_maps_[i]);
+  }
   child_maps_.Clear();
   nodes_.Clear();
   Reset();
@@ -104,6 +114,7 @@ void TokenTrie::Reset() { nodes_.EmplaceBack(); }
 void TokenTrie::FreeChildMaps() {
   size_t num_maps = child_maps_.size();
   for (size_t i = 0; i < num_maps; ++i) delete child_maps_[i];
+  for (AtomicKeyMap* map : spare_maps_) delete map;
 }
 
 }  // namespace xsb

@@ -97,13 +97,15 @@ class TokenTrie {
   size_t node_count() const { return nodes_.size(); }
 
   // Approximate resident bytes of the trie structure (node arena blocks
-  // plus escalated child indexes).
+  // plus escalated child indexes). The child indexes a Clear keeps for
+  // reuse are not counted.
   size_t bytes() const;
   // bytes() of a trie that was never cleared and holds these nodes: the
-  // arena blocks a Clear keeps for reuse are not counted.
+  // arena blocks a Clear keeps for reuse are not counted either.
   size_t used_bytes() const;
 
-  // Drops every node (writer only, requires quiescence).
+  // Drops every node (writer only, requires quiescence). The escalated child
+  // indexes are emptied and kept for the next escalations.
   void Clear();
 
  private:
@@ -115,6 +117,9 @@ class TokenTrie {
   // of them stay that small.
   ConcurrentArena<Node, 4> nodes_;
   ConcurrentArena<AtomicKeyMap*, 4> child_maps_;  // escalated child indexes
+  // Emptied child indexes of earlier Clears, reused by escalation: at most
+  // as many as the trie ever held at once.
+  std::vector<AtomicKeyMap*> spare_maps_;
 };
 
 }  // namespace xsb

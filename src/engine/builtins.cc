@@ -212,7 +212,7 @@ BuiltinResult BuiltinUniv(Machine& m, Word goal, const GoalNode*) {
   // Build the term from the list.
   std::vector<Word> items;
   Word cur = list;
-  FunctorId cons = symbols->InternFunctor(symbols->dot(), 2);
+  FunctorId cons = symbols->cons();
   while (true) {
     cur = store->Deref(cur);
     if (IsAtom(cur) && AtomOf(cur) == symbols->nil()) break;
@@ -386,7 +386,7 @@ BuiltinResult BuiltinLength(Machine& m, Word goal, const GoalNode*) {
   SymbolTable* symbols = store->symbols();
   Word list = Arg(m, goal, 0);
   Word n = Arg(m, goal, 1);
-  FunctorId cons = symbols->InternFunctor(symbols->dot(), 2);
+  FunctorId cons = symbols->cons();
   // Walk the list as far as it is bound.
   int64_t count = 0;
   Word cur = list;
@@ -421,7 +421,7 @@ BuiltinResult BuiltinLength(Machine& m, Word goal, const GoalNode*) {
 bool ListToVector(Machine& m, Word list, std::vector<Word>* items) {
   TermStore* store = m.store();
   SymbolTable* symbols = store->symbols();
-  FunctorId cons = symbols->InternFunctor(symbols->dot(), 2);
+  FunctorId cons = symbols->cons();
   Word cur = store->Deref(list);
   while (true) {
     if (IsAtom(cur) && AtomOf(cur) == symbols->nil()) return true;
@@ -857,7 +857,7 @@ BuiltinResult BuiltinClause(Machine& m, Word goal, const GoalNode* node) {
 // bytes-N, factored_saved_bytes-N, findall_flatten_reuses-N,
 // shared_table_hits-N, waits_on_inprogress-N, epochs_retired-N,
 // coarse_fallbacks-N, mode_violations-N, subsumed_dropped-N,
-// subsumed_replaced-N] for the
+// subsumed_replaced-N, answers_inserted-N] for the
 // variant table of Goal, or aggregated over the whole table space when Goal
 // is the atom `all`. Fails when Goal has no table; errors when no tabling
 // evaluator is installed. The shared-serving counters are relaxed atomics:
@@ -906,6 +906,7 @@ BuiltinResult BuiltinTableStats(Machine& m, Word goal, const GoalNode*) {
       pair("mode_violations", info.mode_violations),
       pair("subsumed_dropped", info.subsumed_dropped),
       pair("subsumed_replaced", info.subsumed_replaced),
+      pair("answers_inserted", info.answers_inserted),
   };
   Word list = store->MakeList(items, AtomCell(symbols->nil()));
   return UnifyResult(m, Arg(m, goal, 1), list);
@@ -1053,7 +1054,7 @@ Status DeclareIncrementalSpec(Machine& m, Word spec) {
   SymbolTable* symbols = store->symbols();
   spec = store->Deref(spec);
   FunctorId comma = symbols->InternFunctor(symbols->comma(), 2);
-  FunctorId cons = symbols->InternFunctor(symbols->dot(), 2);
+  FunctorId cons = symbols->cons();
   FunctorId slash = symbols->InternFunctor(symbols->InternAtom("/"), 2);
   if (IsStruct(spec)) {
     FunctorId f = store->StructFunctor(spec);
@@ -1242,6 +1243,7 @@ BuiltinRegistry::BuiltinRegistry(SymbolTable* symbols) {
 void BuiltinRegistry::Register(SymbolTable* symbols, const char* name,
                                int arity, BuiltinFn fn) {
   FunctorId f = symbols->InternFunctor(symbols->InternAtom(name), arity);
+  if (f >= table_.size()) table_.resize(f + 1, nullptr);
   table_[f] = fn;
 }
 

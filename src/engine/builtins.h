@@ -1,7 +1,7 @@
 #ifndef XSB_ENGINE_BUILTINS_H_
 #define XSB_ENGINE_BUILTINS_H_
 
-#include <unordered_map>
+#include <vector>
 
 #include "engine/machine.h"
 
@@ -20,21 +20,21 @@ enum class BuiltinResult {
 using BuiltinFn = BuiltinResult (*)(Machine& machine, Word goal,
                                     const GoalNode* node);
 
-// The table of builtin predicates, keyed by functor. One per Machine, since
-// functor ids are SymbolTable-relative.
+// The table of builtin predicates: a dense vector indexed by functor id, so
+// dispatch is one bounds check and one load. One per Machine, since functor
+// ids are SymbolTable-relative; it spans up to the largest builtin functor.
 class BuiltinRegistry {
  public:
   explicit BuiltinRegistry(SymbolTable* symbols);
 
   BuiltinFn Find(FunctorId functor) const {
-    auto it = table_.find(functor);
-    return it == table_.end() ? nullptr : it->second;
+    return functor < table_.size() ? table_[functor] : nullptr;
   }
 
  private:
   void Register(SymbolTable* symbols, const char* name, int arity,
                 BuiltinFn fn);
-  std::unordered_map<FunctorId, BuiltinFn> table_;
+  std::vector<BuiltinFn> table_;
 };
 
 }  // namespace xsb

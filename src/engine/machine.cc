@@ -28,9 +28,19 @@ Machine::Machine(TermStore* store, Program* program)
   f_tfindall_ = f("tfindall", 3);
   f_findall_ = f("findall", 3);
   f_resolve_clauses_ = f("$resolve_clauses", 1);
+  fail_goal_ = AtomCell(symbols->InternAtom("fail"));
 }
 
 Machine::~Machine() = default;
+
+void Machine::NextGoalChunk() {
+  if (arena_chunks_in_use_ == goal_chunks_.size()) {
+    goal_chunks_.push_back(
+        std::make_unique_for_overwrite<GoalNode[]>(kGoalChunk));
+  }
+  ++arena_chunks_in_use_;
+  arena_used_ = 0;
+}
 
 void Machine::CutTo(size_t depth) {
   if (cps_.size() > depth) cps_.resize(depth);
@@ -208,6 +218,28 @@ bool Machine::NextAnswer(ChoicePoint& cp) {
   return false;
 }
 
+Word Machine::FirstOrderGoal(Word goal, Word head, FunctorId fo) {
+  int arity = store_->symbols()->FunctorArity(fo);
+  if (arity == 0) return head;
+  Word fo_goal = store_->MakeStructUninit(fo);
+  for (int i = 0; i < arity; ++i) {
+    store_->SetArg(fo_goal, i, store_->Arg(goal, i + 1));
+  }
+  return fo_goal;
+}
+
+Machine::StepResult Machine::UnknownPredicate(AtomId name, int arity) {
+  SymbolTable* symbols = store_->symbols();
+  SetError(ExistenceError("unknown predicate " + symbols->AtomName(name) +
+                          "/" + std::to_string(arity)));
+  return StepResult::kError;
+}
+
+FunctorId Machine::GoalFunctor(Word goal) const {
+  return IsAtom(goal) ? store_->symbols()->FindFunctor(AtomOf(goal), 0)
+                      : store_->StructFunctor(goal);
+}
+
 Machine::StepResult Machine::CallUserPredicate(Word goal, FunctorId functor,
                                                const GoalNode* cont,
                                                uint32_t cut_depth,
@@ -225,7 +257,7 @@ Machine::StepResult Machine::CallUserPredicate(Word goal, FunctorId functor,
           "call to tabled predicate without a tabling evaluator"));
       return StepResult::kError;
     }
-    switch (handler_->OnTabledCall(this, goal, cont)) {
+    switch (handler_->OnTabledCall(this, goal, functor, cont)) {
       case TabledCallHandler::CallOutcome::kFail:
       case TabledCallHandler::CallOutcome::kContinue:
         // Either the branch is suspended/failed, or an answer choice point
@@ -253,25 +285,17 @@ Machine::StepResult Machine::CallUserPredicate(Word goal, FunctorId functor,
       Word head = store_->Deref(store_->Arg(goal, 0));
       if (IsAtom(head)) {
         int arity = symbols->FunctorArity(functor) - 1;
-        FunctorId fo = symbols->InternFunctor(AtomOf(head), arity);
-        Word fo_goal;
-        if (arity == 0) {
-          fo_goal = head;
-        } else {
-          std::vector<Word> args(static_cast<size_t>(arity));
-          for (int i = 0; i < arity; ++i) args[i] = store_->Arg(goal, i + 1);
-          fo_goal = store_->MakeStruct(fo, args);
+        FunctorId fo = symbols->FindFunctor(AtomOf(head), arity);
+        if (fo == SymbolTable::kNoFunctor) {
+          return UnknownPredicate(AtomOf(head), arity);
         }
-        return CallUserPredicate(fo_goal, fo, cont, cut_depth,
-                                 force_clause_resolution);
+        return CallUserPredicate(FirstOrderGoal(goal, head, fo), fo, cont,
+                                 cut_depth, force_clause_resolution);
       }
     }
     if (pred == nullptr) {
-      SetError(ExistenceError(
-          "unknown predicate " +
-          symbols->AtomName(symbols->FunctorAtom(functor)) + "/" +
-          std::to_string(symbols->FunctorArity(functor))));
-      return StepResult::kError;
+      return UnknownPredicate(symbols->FunctorAtom(functor),
+                              symbols->FunctorArity(functor));
     }
     return StepResult::kBacktrack;  // declared but currently empty: fail
   }
@@ -303,10 +327,11 @@ Machine::StepResult Machine::DispatchGoal(const GoalNode** goals) {
     return StepResult::kError;
   }
 
+  FunctorId functor = GoalFunctor(goal);
+  if (functor == SymbolTable::kNoFunctor) {
+    return UnknownPredicate(AtomOf(goal), 0);
+  }
   SymbolTable* symbols = store_->symbols();
-  FunctorId functor = IsAtom(goal)
-                          ? symbols->InternFunctor(AtomOf(goal), 0)
-                          : store_->StructFunctor(goal);
 
   // --- Control constructs ----------------------------------------------------
   if (functor == f_true_) {
@@ -339,7 +364,7 @@ Machine::StepResult Machine::DispatchGoal(const GoalNode** goals) {
       is_ite = true;
       condition = store_->Arg(goal, 0);
       then_goal = store_->Arg(goal, 1);
-      else_goal = AtomCell(symbols->InternAtom("fail"));
+      else_goal = fail_goal_;
     } else {
       Word left = store_->Deref(store_->Arg(goal, 0));
       else_goal = store_->Arg(goal, 1);
@@ -448,14 +473,10 @@ Machine::StepResult Machine::DispatchGoal(const GoalNode** goals) {
     }
   }
   if (functor == f_resolve_clauses_) {
+    // The argument is a tabled call the evaluator built, so its functor
+    // exists.
     Word inner = store_->Deref(store_->Arg(goal, 0));
-    std::optional<FunctorId> inner_functor =
-        Program::CallableFunctor(*store_, inner);
-    if (!inner_functor.has_value()) {
-      SetError(TypeError("$resolve_clauses argument not callable"));
-      return StepResult::kError;
-    }
-    return CallUserPredicate(inner, *inner_functor, node->next,
+    return CallUserPredicate(inner, GoalFunctor(inner), node->next,
                              node->cut_depth,
                              /*force_clause_resolution=*/true);
   }
@@ -469,16 +490,12 @@ Machine::StepResult Machine::DispatchGoal(const GoalNode** goals) {
     Word head = store_->Deref(store_->Arg(goal, 0));
     if (IsAtom(head) && !program_->IsHilogAtom(AtomOf(head))) {
       int arity = symbols->FunctorArity(functor) - 1;
-      Word fo_goal;
-      if (arity == 0) {
-        fo_goal = head;
-      } else {
-        FunctorId fo = symbols->InternFunctor(AtomOf(head), arity);
-        std::vector<Word> args(static_cast<size_t>(arity));
-        for (int i = 0; i < arity; ++i) args[i] = store_->Arg(goal, i + 1);
-        fo_goal = store_->MakeStruct(fo, args);
+      FunctorId fo = symbols->FindFunctor(AtomOf(head), arity);
+      if (fo == SymbolTable::kNoFunctor) {
+        return UnknownPredicate(AtomOf(head), arity);
       }
-      *goals = Cons(fo_goal, node->next, node->cut_depth);
+      *goals = Cons(FirstOrderGoal(goal, head, fo), node->next,
+                    node->cut_depth);
       return StepResult::kAdvance;
     }
   }

@@ -2,7 +2,6 @@
 #define XSB_ENGINE_MACHINE_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -43,8 +42,10 @@ class TabledCallHandler {
 
   virtual ~TabledCallHandler() = default;
 
-  // A call to tabled predicate `goal`; `cont` is the rest of the resolvent.
+  // A call to tabled predicate `goal`, whose functor is `functor`; `cont`
+  // is the rest of the resolvent.
   virtual CallOutcome OnTabledCall(Machine* machine, Word goal,
+                                   FunctorId functor,
                                    const GoalNode* cont) = 0;
   // '$tabled_answer'(Index, CallTerm) reached: record the answer instance.
   // Returns false to fail the branch (always, in SLG), after recording.
@@ -80,6 +81,8 @@ class TabledCallHandler {
                                         // subsumption (:- table p(_, min))
     uint64_t subsumed_replaced = 0;     // answers stored by beating (and
                                         // retiring) an existing answer
+    uint64_t answers_inserted = 0;      // answers stored since the space
+                                        // was created, replacements included
   };
   // Statistics for the variant table of `goal`, or aggregated over the
   // whole table space when goal == 0. Default: no statistics available.
@@ -175,8 +178,10 @@ class Machine {
   Status Run(const GoalNode* goals, const SolutionFn& on_solution);
 
   const GoalNode* Cons(Word goal, const GoalNode* next, uint32_t cut_depth) {
-    arena_.push_back(GoalNode{goal, next, cut_depth});
-    return &arena_.back();
+    if (arena_used_ == kGoalChunk) NextGoalChunk();
+    GoalNode* node = &goal_chunks_[arena_chunks_in_use_ - 1][arena_used_++];
+    *node = GoalNode{goal, next, cut_depth};
+    return node;
   }
 
   // Asks the current Run loop to stop as if solutions were exhausted
@@ -225,14 +230,19 @@ class Machine {
   // Discards choice points above `depth` (the cut operation).
   void CutTo(size_t depth);
 
-  // Frees the goal arena and the adopted answer sources; only call between
-  // top-level queries.
+  // Empties the goal arena, keeping its chunks for the next query, and frees
+  // the adopted answer sources; only call between top-level queries.
   void ResetArena() {
-    arena_.clear();
+    arena_chunks_in_use_ = 0;
+    arena_used_ = kGoalChunk;
     adopted_sources_.clear();
   }
   // Both are 0 between top-level queries of a Session.
-  size_t arena_size() const { return arena_.size(); }
+  size_t arena_size() const {
+    return arena_chunks_in_use_ == 0
+               ? 0
+               : (arena_chunks_in_use_ - 1) * kGoalChunk + arena_used_;
+  }
   size_t adopted_source_count() const { return adopted_sources_.size(); }
 
   // Takes ownership of a materialized answer source referenced by an
@@ -308,6 +318,15 @@ class Machine {
   StepResult CallUserPredicate(Word goal, FunctorId functor,
                                const GoalNode* cont, uint32_t cut_depth,
                                bool force_clause_resolution);
+  // A HiLog call apply(F, A1, ..., An) with F an atom, as the first-order
+  // goal F(A1, ..., An); `fo` is F/n, already interned.
+  Word FirstOrderGoal(Word goal, Word head, FunctorId fo);
+  // The existence error of a call to name/arity, which has no definition.
+  StepResult UnknownPredicate(AtomId name, int arity);
+  // The functor of an atom or structure goal, found without interning:
+  // SymbolTable::kNoFunctor for an atom whose name/0 was never interned,
+  // which names no control construct, builtin or predicate.
+  FunctorId GoalFunctor(Word goal) const;
   // Unifies the head of clause `id` of `pred` with `goal` straight from the
   // stored clause, then builds its body. On success sets *new_goals to the
   // clause body resolvent.
@@ -321,7 +340,17 @@ class Machine {
   bool ignore_tabling_ = false;
   std::unique_ptr<BuiltinRegistry> builtins_;
 
-  std::deque<GoalNode> arena_;
+  // Moves Cons on to the next goal chunk, allocating it only when no
+  // earlier query reached that many.
+  void NextGoalChunk();
+
+  // The goal arena: fixed-size chunks, so a node never moves. ResetArena
+  // rewinds to the first chunk and keeps them all: the arena holds as many
+  // as the largest query needed.
+  static constexpr size_t kGoalChunk = 256;
+  std::vector<std::unique_ptr<GoalNode[]>> goal_chunks_;
+  size_t arena_chunks_in_use_ = 0;
+  size_t arena_used_ = kGoalChunk;  // nodes taken in the current chunk
   std::vector<std::unique_ptr<AnswerSource>> adopted_sources_;
   std::vector<ChoicePoint> cps_;
   FlatTerm answer_scratch_;  // reused by the answer-choice backtracker
@@ -339,6 +368,7 @@ class Machine {
   bool has_counted_functor_ = false;
 
   // Interned ids used by the dispatcher.
+  Word fail_goal_;  // the atom fail, the else branch of a bare '->'
   FunctorId f_comma_, f_semicolon_, f_arrow_, f_naf_, f_cut_, f_tcut_,
       f_true_, f_fail_, f_false_, f_ite_commit_, f_tabled_answer_, f_tnot_,
       f_e_tnot_, f_tfindall_, f_findall_, f_resolve_clauses_;

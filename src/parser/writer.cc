@@ -58,17 +58,17 @@ bool NeedsQuotes(const std::string& name) {
 class Writer {
  public:
   Writer(const TermStore& store, const OpTable& ops,
-         const WriteOptions& options)
+         const WriteOptions& options, std::string* out)
       : store_(store),
         symbols_(*store.symbols()),
         ops_(ops),
-        options_(options) {}
+        options_(options),
+        out_(*out) {}
 
-  std::string Render(Word t) {
+  void Render(Word t) {
     out_.clear();
     var_ids_.clear();
     Emit(t, 1200, 0);
-    return out_;
   }
 
  private:
@@ -211,7 +211,7 @@ class Writer {
   const SymbolTable& symbols_;
   const OpTable& ops_;
   WriteOptions options_;
-  std::string out_;
+  std::string& out_;
   std::unordered_map<uint64_t, int> var_ids_;
 };
 
@@ -219,8 +219,15 @@ class Writer {
 
 std::string WriteTerm(const TermStore& store, const OpTable& ops, Word t,
                       const WriteOptions& options) {
-  Writer writer(store, ops, options);
-  return writer.Render(t);
+  std::string out;
+  WriteTermTo(store, ops, t, &out, options);
+  return out;
+}
+
+void WriteTermTo(const TermStore& store, const OpTable& ops, Word t,
+                 std::string* out, const WriteOptions& options) {
+  Writer writer(store, ops, options, out);
+  writer.Render(t);
 }
 
 std::string WriteFlat(TermStore* scratch, const OpTable& ops,

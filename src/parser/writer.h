@@ -19,6 +19,11 @@ struct WriteOptions {
 // Renders `t` as readable (re-parsable) text.
 std::string WriteTerm(const TermStore& store, const OpTable& ops, Word t,
                       const WriteOptions& options = WriteOptions());
+// The same text, written over *out: a string with room for it already
+// renders without allocating.
+void WriteTermTo(const TermStore& store, const OpTable& ops, Word t,
+                 std::string* out,
+                 const WriteOptions& options = WriteOptions());
 
 // Renders a flattened term (variables print as _0, _1, ...).
 std::string WriteFlat(TermStore* scratch, const OpTable& ops,

@@ -72,8 +72,43 @@ void Evaluator::AllowDeferral(bool allow) {
 }
 
 bool Evaluator::MayDefer() const {
-  return defer_mark_ != kNoDeferral && batches_.empty() &&
+  return defer_mark_ != kNoDeferral && !InBatch() &&
          machine_->goals_dispatched() == defer_mark_ + 1;
+}
+
+size_t Evaluator::OpenBatch() {
+  if (open_batches_ == batches_.size()) batches_.emplace_back();
+  Batch& batch = batches_[open_batches_];
+  batch.id = tables_->NextBatchId();
+  batch.subgoals.clear();
+  batch.consumers.clear();
+  batch.saved_cells.clear();
+  batch.generator_queue.clear();
+  batch.stop_on_answer = kNoSubgoal;
+  batch.aborted = false;
+  return open_batches_++;
+}
+
+void Evaluator::FoldStats() {
+  TableStats& shared = tables_->stats();
+  auto fold = [](std::atomic<uint64_t>& to, uint64_t now, uint64_t then) {
+    if (now != then) to.fetch_add(now - then, std::memory_order_relaxed);
+  };
+  fold(shared.answers_inserted, stats_.answers_inserted,
+       folded_.answers_inserted);
+  fold(shared.duplicate_answers, stats_.duplicate_answers,
+       folded_.duplicate_answers);
+  fold(shared.factored_cells_saved, stats_.factored_cells_saved,
+       folded_.factored_cells_saved);
+  fold(shared.subsumed_dropped, stats_.subsumed_dropped,
+       folded_.subsumed_dropped);
+  fold(shared.subsumed_replaced, stats_.subsumed_replaced,
+       folded_.subsumed_replaced);
+  fold(shared.consumer_suspensions, stats_.consumer_suspensions,
+       folded_.consumer_suspensions);
+  fold(shared.consumer_resumptions, stats_.consumer_resumptions,
+       folded_.consumer_resumptions);
+  folded_ = stats_;
 }
 
 void Evaluator::AbolishAllTables() {
@@ -303,15 +338,10 @@ bool Evaluator::TryServeWarm(Machine* machine, Word goal,
 }
 
 TabledCallHandler::CallOutcome Evaluator::OnTabledCall(
-    Machine* machine, Word goal, const GoalNode* cont) {
+    Machine* machine, Word goal, FunctorId functor, const GoalNode* cont) {
   TermStore* store = machine->store();
-  std::optional<FunctorId> functor = Program::CallableFunctor(*store, goal);
-  if (!functor.has_value()) {
-    machine->SetError(TypeError("tabled call is not callable"));
-    return CallOutcome::kError;
-  }
 
-  if (batches_.empty()) {
+  if (!InBatch()) {
     // Top-level call. The warm path — table already complete and valid —
     // is fully lock-free; it is the path concurrent serving scales on.
     if (TryServeWarm(machine, goal, cont)) {
@@ -341,7 +371,7 @@ TabledCallHandler::CallOutcome Evaluator::OnTabledCall(
     // table, then enumerate its answers.
     const AnswerTable* table = nullptr;
     bool has_answer = false;
-    Status st = Complete(goal, *functor, /*existential=*/false, &table,
+    Status st = Complete(goal, functor, /*existential=*/false, &table,
                          &has_answer);
     if (!st.ok()) {
       machine->SetError(st);
@@ -353,15 +383,15 @@ TabledCallHandler::CallOutcome Evaluator::OnTabledCall(
 
   // In-batch call: widen this batch's shard ownership to cover the callee
   // before touching its tables (stale reach masks are repaired here).
-  Batch& batch = batches_.back();
-  Status own = EnsureOwnedForCall(*functor);
+  Batch& batch = CurrentBatch();
+  Status own = EnsureOwnedForCall(functor);
   if (!own.ok()) {
     machine->SetError(own);
     return CallOutcome::kError;
   }
   auto [id, created] =
-      tables_->LookupOrCreate(*store, goal, *functor, batch.id,
-                              SpecFor(*functor));
+      tables_->LookupOrCreate(*store, goal, functor, batch.id,
+                              SpecFor(functor));
   // The consuming table depends on the consumed one: an update invalidating
   // `id` must also invalidate whoever built answers from it.
   SubgoalId caller = CurrentSubgoal();
@@ -377,19 +407,19 @@ TabledCallHandler::CallOutcome Evaluator::OnTabledCall(
       // batch; the caller suspends as an ordinary consumer below.
       tables_->ResetForReevaluation(id, batch.id);
 #ifdef XSB_MODE_ORACLE
-      RecordModeExpectation(id, *functor);
+      RecordModeExpectation(id, functor);
 #endif
       batch.subgoals.push_back(id);
       batch.generator_queue.push_back(id);
     } else if (sg.batch_id != batch.id) {
       machine->SetError(StratificationFailure(
-          machine, *functor,
+          machine, functor,
           "tabled subgoal depends on an incomplete table of an enclosing "
           "negation: the program is not modularly stratified"));
       return CallOutcome::kError;
     }
   } else {
-    SeedSubgoalDeps(id, *functor);
+    SeedSubgoalDeps(id, functor);
     batch.subgoals.push_back(id);
     batch.generator_queue.push_back(id);
   }
@@ -397,11 +427,13 @@ TabledCallHandler::CallOutcome Evaluator::OnTabledCall(
   Consumer consumer;
   consumer.producer = id;
   consumer.owner = caller;
-  // Flattened into the warm scratch, then copied out at its exact size.
-  FlattenInto(*store, BuildConsumerTerm(goal, cont), &consumer_scratch_);
-  consumer.saved = consumer_scratch_;
-  batch.consumers.push_back(std::move(consumer));
-  ++tables_->stats().consumer_suspensions;
+  // Flattened straight onto the batch's store: its vectors are kept from
+  // batch to batch, so this allocates only while the store outgrows them.
+  consumer.saved_begin = batch.saved_cells.size();
+  consumer.saved_vars = AppendFlattened(
+      *store, BuildConsumerTerm(goal, cont), &batch.saved_cells);
+  batch.consumers.push_back(consumer);
+  ++stats_.consumer_suspensions;
   return CallOutcome::kFail;
 }
 
@@ -410,11 +442,28 @@ TabledCallHandler::CallOutcome Evaluator::OnTabledAnswer(Machine* machine,
                                                          Word call_instance) {
   TermStore* store = machine->store();
   SubgoalId id = static_cast<SubgoalId>(subgoal_index);
-  AnswerInsert outcome = tables_->AddAnswer(id, *store, call_instance);
-  if (outcome == AnswerInsert::kBadAggregate) {
-    machine->SetError(TypeError(
-        "answer subsumption: min/max argument must be an integer"));
-    return CallOutcome::kError;
+  size_t saved = 0;
+  AnswerInsert outcome = tables_->AddAnswer(id, *store, call_instance, &saved);
+  switch (outcome) {
+    case AnswerInsert::kNew:
+      ++stats_.answers_inserted;
+      stats_.factored_cells_saved += saved;
+      break;
+    case AnswerInsert::kReplaced:
+      ++stats_.answers_inserted;
+      ++stats_.subsumed_replaced;
+      stats_.factored_cells_saved += saved;
+      break;
+    case AnswerInsert::kDuplicate:
+      ++stats_.duplicate_answers;
+      break;
+    case AnswerInsert::kSubsumedDropped:
+      ++stats_.subsumed_dropped;
+      break;
+    case AnswerInsert::kBadAggregate:
+      machine->SetError(TypeError(
+          "answer subsumption: min/max argument must be an integer"));
+      return CallOutcome::kError;
   }
   // A replacement is an insertion: the table grew (the beaten answer was
   // retired in place, not unlinked), so suspended consumers see it as a new
@@ -427,8 +476,8 @@ TabledCallHandler::CallOutcome Evaluator::OnTabledAnswer(Machine* machine,
   // and answers later retired by a replacement were valid when stored.
   if (fresh) CheckAnswerModes(id, call_instance);
 #endif
-  if (fresh && !batches_.empty()) {
-    Batch& batch = batches_.back();
+  if (fresh && InBatch()) {
+    Batch& batch = CurrentBatch();
     if (batch.stop_on_answer == id) {
       // Existential negation: one answer suffices; abandon the batch.
       batch.aborted = true;
@@ -479,18 +528,21 @@ Status Evaluator::ResumeConsumer(size_t batch_index, size_t consumer_index) {
 
   // The consumer vector may grow (and move) while the continuation runs:
   // take what the pass needs now, and keep the cursor in a local.
-  const Consumer& consumer = batches_[batch_index].consumers[consumer_index];
+  const Batch& running = batches_[batch_index];
+  const Consumer& consumer = running.consumers[consumer_index];
   SubgoalId owner = consumer.owner;
   const AnswerTable* producer = tables_->subgoal(consumer.producer).table();
   size_t cursor = consumer.next_answer;
-  Word pair = store->Deref(Unflatten(store, consumer.saved));
+  Word pair = store->Deref(UnflattenAt(store, running.saved_cells.data(),
+                                       consumer.saved_begin,
+                                       consumer.saved_vars));
   Word call = store->Arg(pair, 0);
   Word list = store->Deref(store->Arg(pair, 1));
 
   // Rebuild the continuation chain, once for the whole pass.
   std::vector<Word>& goals = goals_scratch_;
   goals.clear();
-  FunctorId cons = symbols->InternFunctor(symbols->dot(), 2);
+  FunctorId cons = symbols->cons();
   while (IsStruct(list) && store->StructFunctor(list) == cons) {
     goals.push_back(store->Arg(list, 0));
     list = store->Deref(store->Arg(list, 1));
@@ -508,7 +560,7 @@ Status Evaluator::ResumeConsumer(size_t batch_index, size_t consumer_index) {
   auto deliver = [this, batch_index]() {
     const Batch& batch = batches_[batch_index];
     if (batch.aborted || !batch.generator_queue.empty()) return false;
-    ++tables_->stats().consumer_resumptions;
+    ++stats_.consumer_resumptions;
     return true;
   };
   // The continuation is part of `owner`'s clause bodies: run it in the
@@ -561,13 +613,7 @@ Status Evaluator::EvaluateToCompletion(Word goal, FunctorId functor,
                                        SubgoalId* root_out) {
   TermStore* store = machine_->store();
   ++stats_.batches;
-  batches_.push_back(Batch{tables_->NextBatchId(),
-                           {},
-                           {},
-                           {},
-                           kNoSubgoal,
-                           false});
-  size_t batch_index = batches_.size() - 1;
+  size_t batch_index = OpenBatch();
 
   auto [root, created] =
       tables_->LookupOrCreate(*store, goal, functor, batches_[batch_index].id,
@@ -602,7 +648,8 @@ Status Evaluator::EvaluateToCompletion(Word goal, FunctorId functor,
     }
     tables_->NotifyCompletion();
   }
-  batches_.pop_back();
+  --open_batches_;
+  FoldStats();
   *has_answer = answered;
   *root_out = root;
   return status;
@@ -611,7 +658,7 @@ Status Evaluator::EvaluateToCompletion(Word goal, FunctorId functor,
 Status Evaluator::Complete(Word goal, FunctorId functor, bool existential,
                            const AnswerTable** table, bool* has_answer) {
   TermStore* store = machine_->store();
-  if (!batches_.empty()) {
+  if (InBatch()) {
     // In-batch: once this batch owns the callee's shards, an incomplete
     // table seen here can only belong to this thread's own (enclosing)
     // batch — a genuine stratification violation, never another session's
@@ -711,7 +758,7 @@ bool Evaluator::AbolishTableCall(Machine* machine, Word goal) {
   std::optional<FunctorId> functor = Program::CallableFunctor(*store, goal);
   ShardMask need =
       functor.has_value() ? ReachMask(*functor, goal) : kAllEvalShards;
-  if (batches_.empty()) {
+  if (!InBatch()) {
     ShardLease lease(tables_, need);
     SubgoalId id = tables_->Lookup(*store, goal);
     if (id == kNoSubgoal) return false;
@@ -769,14 +816,16 @@ TabledCallHandler::TableStatsInfo Evaluator::GetTableStats(Machine* machine,
   // aggregate walks stay exact, byte totals report 0.
   ShardMask added = kAllEvalShards & ~owned_shards_;
   bool exclusive;
-  if (batches_.empty()) {
+  if (!InBatch()) {
     tables_->AcquireShards(added);
     exclusive = true;
   } else {
     exclusive = tables_->TryAcquireShards(added);
     if (!exclusive) added = 0;
   }
+  FoldStats();
   TableStatsInfo info;
+  info.answers_inserted = tables_->stats().answers_inserted;
   info.interned_terms = tables_->interns().num_terms();
   info.call_trie_nodes = tables_->call_trie_nodes();
   info.factored_saved_bytes =

@@ -106,16 +106,26 @@ class Evaluator : public TabledCallHandler, public TableUpdateListener {
   // been evaluated, and no answer delivered, at that point.
   void AllowDeferral(bool allow);
 
+  // This session's counters, plain fields. The answer-path ones, from
+  // answers_inserted on, are added into the shared TableStats when each
+  // batch ends and before GetTableStats reads them (FoldStats).
   struct EvalStats {
     uint64_t batches = 0;
     uint64_t early_completions = 0;
     uint64_t existential_aborts = 0;
     uint64_t update_events = 0;  // incremental-predicate change reports
+    uint64_t answers_inserted = 0;
+    uint64_t duplicate_answers = 0;
+    uint64_t factored_cells_saved = 0;
+    uint64_t subsumed_dropped = 0;
+    uint64_t subsumed_replaced = 0;
+    uint64_t consumer_suspensions = 0;
+    uint64_t consumer_resumptions = 0;
   };
   const EvalStats& stats() const { return stats_; }
 
   // TabledCallHandler:
-  CallOutcome OnTabledCall(Machine* machine, Word goal,
+  CallOutcome OnTabledCall(Machine* machine, Word goal, FunctorId functor,
                            const GoalNode* cont) override;
   CallOutcome OnTabledAnswer(Machine* machine, int64_t subgoal_index,
                              Word call_instance) override;
@@ -134,14 +144,26 @@ class Evaluator : public TabledCallHandler, public TableUpdateListener {
   void OnIncrementalDeclaration(FunctorId functor) override;
 
  private:
+  // One evaluation batch. Slots are kept when a batch ends, vectors and
+  // all, and reused by the next batch at that nesting depth.
   struct Batch {
-    uint64_t id;
+    uint64_t id = 0;
     std::vector<SubgoalId> subgoals;
     std::vector<Consumer> consumers;
+    std::vector<Word> saved_cells;  // every consumer's flattened term
     std::vector<SubgoalId> generator_queue;
     SubgoalId stop_on_answer = kNoSubgoal;
     bool aborted = false;
   };
+
+  bool InBatch() const { return open_batches_ != 0; }
+  Batch& CurrentBatch() { return batches_[open_batches_ - 1]; }
+  // Opens a batch in the next slot and returns its index.
+  size_t OpenBatch();
+
+  // Adds the answer-path counters gathered since the last fold into the
+  // shared TableStats.
+  void FoldStats();
 
   // The one completion entry: completes the table of `goal`, a call to
   // tabled `functor`, and returns its published answer table in *table and
@@ -237,7 +259,10 @@ class Evaluator : public TabledCallHandler, public TableUpdateListener {
   TableSpace* tables_;
   bool early_completion_;
   bool incremental_;
+  // Batch slots; the first open_batches_ are the open batches, innermost
+  // last.
   std::vector<Batch> batches_;
+  size_t open_batches_ = 0;
   // Evaluation shards this session currently holds. Nonzero exactly while a
   // top-level cold evaluation (and its nested batches) runs; the session is
   // single-threaded, so no synchronization is needed on the member itself.
@@ -248,11 +273,11 @@ class Evaluator : public TabledCallHandler, public TableUpdateListener {
   // Subgoals whose evaluation frames are active, innermost last.
   std::vector<SubgoalId> eval_stack_;
   EvalStats stats_;
-  // Consumer suspension and resumption scratch, reused so that neither
-  // grows fresh vectors. Each is fully consumed before anything that could
-  // re-enter the evaluator runs.
+  EvalStats folded_;  // stats_ as of the last FoldStats
+  // Consumer resumption scratch, reused so that it grows no fresh vector.
+  // It is fully consumed before anything that could re-enter the evaluator
+  // runs.
   std::vector<Word> goals_scratch_;
-  FlatTerm consumer_scratch_;
 
   FunctorId f_resolve_clauses_, f_tabled_answer_, f_consumer_;
 };

@@ -286,31 +286,9 @@ SubgoalId TableSpace::Lookup(const TermStore& store, Word goal) const {
 }
 
 AnswerInsert TableSpace::AddAnswer(SubgoalId id, const TermStore& store,
-                                   Word instance) {
+                                   Word instance, size_t* saved_cells) {
   Perturb("answer.insert");
-  size_t saved = 0;
-  AnswerInsert outcome =
-      subgoals_[id].table()->Insert(store, instance, &saved);
-  switch (outcome) {
-    case AnswerInsert::kNew:
-      ++stats_.answers_inserted;
-      stats_.factored_cells_saved += saved;
-      break;
-    case AnswerInsert::kReplaced:
-      ++stats_.answers_inserted;
-      ++stats_.subsumed_replaced;
-      stats_.factored_cells_saved += saved;
-      break;
-    case AnswerInsert::kDuplicate:
-      ++stats_.duplicate_answers;
-      break;
-    case AnswerInsert::kSubsumedDropped:
-      ++stats_.subsumed_dropped;
-      break;
-    case AnswerInsert::kBadAggregate:
-      break;  // the evaluator raises the type error
-  }
-  return outcome;
+  return subgoals_[id].table()->Insert(store, instance, saved_cells);
 }
 
 AnswerTable* TableSpace::NewAnswerTable(const Subgoal& sg) {

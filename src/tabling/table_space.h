@@ -252,7 +252,11 @@ class AnswerTable : public AnswerSource {
 struct Consumer {
   SubgoalId producer;
   SubgoalId owner = kNoSubgoal;
-  FlatTerm saved;  // '$consumer'(CallTerm, [Goal1, ..., GoalK])
+  // '$consumer'(CallTerm, [Goal1, ..., GoalK]) flattened, with `saved_vars`
+  // variables, at cell `saved_begin` of the store its batch keeps for all
+  // of its consumers.
+  size_t saved_begin = 0;
+  uint32_t saved_vars = 0;
   size_t next_answer = 0;
 };
 
@@ -306,12 +310,18 @@ struct Subgoal {
   }
 };
 
-// Evaluation counters. All fields are relaxed atomics: each counter is an
-// independent monotonic event count — increments from concurrent threads
-// interleave without synchronizing anything else, and a read observes some
-// recent value of each counter individually (no cross-counter snapshot is
-// implied). That is exactly the documented contract of table_stats/2 and
-// the service counters.
+// Evaluation counters, shared by every session of the space. Each field is
+// an atomic, independent monotonic event count: increments from concurrent
+// threads interleave without synchronizing anything else, and a read
+// observes some recent value of each counter individually (no cross-counter
+// snapshot is implied). That is exactly the documented contract of
+// table_stats/2 and the service counters. Rare events are counted where
+// they happen, with `++` (a seq_cst read-modify-write, stronger than the
+// contract needs). The per-answer counters — answers_inserted through
+// consumer_resumptions and factored_cells_saved — are plain fields of the
+// evaluator's EvalStats on the answer path, added in here with relaxed
+// fetch_adds when each batch ends and before table_stats/2 reads them, so a
+// running batch's answers show up only then.
 struct TableStats {
   std::atomic<uint64_t> subgoals_created{0};
   std::atomic<uint64_t> subgoals_disposed{0};
@@ -407,9 +417,13 @@ class TableSpace {
 
   // Inserts the answer instance (a heap instance of `id`'s call) after
   // factoring out the call's ground skeleton; see AnswerInsert for the
-  // outcomes (kNew/kReplaced mean "stored — wake consumers"). Caller:
-  // the batch owning `id`'s shard — the table's single mutator.
-  AnswerInsert AddAnswer(SubgoalId id, const TermStore& store, Word instance);
+  // outcomes (kNew/kReplaced mean "stored — wake consumers"). For a stored
+  // answer, *saved_cells is the number of flat cells factoring avoided
+  // storing. Counting the outcome is the caller's: the evaluator folds its
+  // counts into stats() once per batch. Caller: the batch owning `id`'s
+  // shard — the table's single mutator.
+  AnswerInsert AddAnswer(SubgoalId id, const TermStore& store, Word instance,
+                         size_t* saved_cells);
 
   // Removes the subgoal from the call index and drops its answers (tcut /
   // existential negation, abolish_table_call/1). The id remains valid but

@@ -126,11 +126,16 @@ FlatTerm Flatten(const TermStore& store, Word t) {
 bool FlattenInto(const TermStore& store, Word t, FlatTerm* out) {
   size_t cap_before = out->cells.capacity();
   out->cells.clear();
+  out->num_vars = AppendFlattened(store, t, &out->cells);
+  return out->cells.capacity() == cap_before;
+}
+
+uint32_t AppendFlattened(const TermStore& store, Word t,
+                         std::vector<Word>* out) {
   std::vector<uint64_t>& var_cells = Stacks().flatten_vars;
   var_cells.clear();
-  FlattenAppend(store, t, &out->cells, &var_cells);
-  out->num_vars = static_cast<uint32_t>(var_cells.size());
-  return out->cells.capacity() == cap_before;
+  FlattenAppend(store, t, out, &var_cells);
+  return static_cast<uint32_t>(var_cells.size());
 }
 
 Word BuildTokens(TermStore* store, const InternTable* interns,
@@ -251,13 +256,20 @@ bool UnifyTokens(TermStore* store, const InternTable* interns,
 Word Unflatten(TermStore* store, const FlatTerm& flat,
                std::vector<Word>* vars) {
   if (vars == nullptr) {
-    vars = &Stacks().unflatten_vars;
-    vars->assign(flat.num_vars, kNoVar);
-  } else if (vars->size() < flat.num_vars) {
+    return UnflattenAt(store, flat.cells.data(), 0, flat.num_vars);
+  }
+  if (vars->size() < flat.num_vars) {
     vars->resize(flat.num_vars, kNoVar);
   }
   size_t pos = 0;
   return BuildTokens(store, nullptr, flat.cells.data(), &pos, vars);
+}
+
+Word UnflattenAt(TermStore* store, const Word* tokens, size_t pos,
+                 uint32_t num_vars) {
+  std::vector<Word>& vars = Stacks().unflatten_vars;
+  vars.assign(num_vars, kNoVar);
+  return BuildTokens(store, nullptr, tokens, &pos, &vars);
 }
 
 bool FlatTopFunctor(const FlatTerm& flat, FunctorId* functor) {

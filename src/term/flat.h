@@ -60,6 +60,12 @@ bool FlattenInto(const TermStore& store, Word t, FlatTerm* out);
 void FlattenAppend(const TermStore& store, Word t, std::vector<Word>* out,
                    std::vector<uint64_t>* var_cells);
 
+// Appends the flattened form of `t` to *out with its own variable numbering
+// from kLocal(0), and returns its number of variables. UnflattenAt rebuilds
+// it.
+uint32_t AppendFlattened(const TermStore& store, Word t,
+                         std::vector<Word>* out);
+
 // --- Token streams -----------------------------------------------------------
 //
 // A token stream is a FlatTerm cell stream in which any ground compound
@@ -99,6 +105,11 @@ bool UnifyTokens(TermStore* store, const InternTable* interns,
 // Unflatten calls shares variables across them.
 Word Unflatten(TermStore* store, const FlatTerm& flat,
                std::vector<Word>* vars = nullptr);
+
+// Rebuilds on the heap, with fresh variables, the flattened term with
+// `num_vars` variables that starts at tokens[pos] (see AppendFlattened).
+Word UnflattenAt(TermStore* store, const Word* tokens, size_t pos,
+                 uint32_t num_vars);
 
 // Reads the top functor of a flattened term without rebuilding it.
 // Returns true and sets *functor if the term is a struct.

@@ -24,7 +24,7 @@ Word TermStore::MakeStruct2(AtomId name, Word a, Word b) {
 
 Word TermStore::MakeList(const std::vector<Word>& elements, Word tail) {
   Word list = tail;
-  FunctorId cons = symbols_->InternFunctor(symbols_->dot(), 2);
+  FunctorId cons = symbols_->cons();
   for (auto it = elements.rbegin(); it != elements.rend(); ++it) {
     uint64_t i = heap_.size();
     heap_.push_back(FunctorCell(cons));

@@ -10,6 +10,7 @@ SymbolTable::SymbolTable() {
   apply_ = InternAtom("apply");
   true_ = InternAtom("true");
   curly_ = InternAtom("{}");
+  cons_ = InternFunctor(dot_, 2);
 }
 
 AtomId SymbolTable::InternAtom(std::string_view name) {
@@ -22,14 +23,17 @@ AtomId SymbolTable::InternAtom(std::string_view name) {
 }
 
 FunctorId SymbolTable::InternFunctor(AtomId name, int arity) {
-  uint64_t key = (static_cast<uint64_t>(name) << 16) |
-                 static_cast<uint64_t>(arity & 0xffff);
+  FunctorId found = FindFunctor(name, arity);
+  if (found != kNoFunctor) return found;
   std::lock_guard<std::mutex> lock(intern_mutex_);
-  auto it = functor_ids_.find(key);
-  if (it != functor_ids_.end()) return it->second;
+  // A miss outside the lock is advisory: another thread may have interned
+  // the functor meanwhile.
+  uint64_t key = FunctorKey(name, arity);
+  found = functor_ids_.Find(key);
+  if (found != kNoFunctor) return found;
   FunctorId id =
       static_cast<FunctorId>(functors_.EmplaceBack(Functor{name, arity}));
-  functor_ids_.emplace(key, id);
+  functor_ids_.Insert(key, id);
   return id;
 }
 

@@ -29,8 +29,10 @@ using FunctorId = uint32_t;
 // Concurrency: id -> name/arity reads (AtomName, FunctorAtom, FunctorArity)
 // are lock-free — they index append-only arenas whose entries are immutable
 // once published, which is what keeps the tabling and serving hot paths free
-// of symbol locks. Interning (InternAtom / InternFunctor, i.e. parsing and
-// consulting) takes a mutex; it is far off the hot path.
+// of symbol locks. So are FindFunctor and InternFunctor of a functor already
+// interned (a lock-free AtomicKeyMap probe). Interning a new atom or functor,
+// and InternAtom always (parsing and consulting), takes a mutex; the query
+// path keeps to the pre-interned ids below and FindFunctor.
 class SymbolTable {
  public:
   SymbolTable();
@@ -39,8 +41,16 @@ class SymbolTable {
 
   // Returns the id for `name`, interning it on first use. Thread-safe.
   AtomId InternAtom(std::string_view name);
-  // Returns the id for name/arity, interning it on first use. Thread-safe.
+  // Returns the id for name/arity, interning it on first use. Thread-safe;
+  // lock-free when the functor already exists.
   FunctorId InternFunctor(AtomId name, int arity);
+
+  // The id of name/arity if it was ever interned, else kNoFunctor; takes no
+  // lock. Nothing can be defined on a functor that was never interned.
+  static constexpr FunctorId kNoFunctor = AtomicKeyMap::kNotFound;
+  FunctorId FindFunctor(AtomId name, int arity) const {
+    return functor_ids_.Find(FunctorKey(name, arity));
+  }
 
   const std::string& AtomName(AtomId id) const { return atom_names_[id]; }
   AtomId FunctorAtom(FunctorId id) const { return functors_[id].name; }
@@ -57,6 +67,7 @@ class SymbolTable {
   AtomId apply() const { return apply_; }      // HiLog encoding symbol
   AtomId truth() const { return true_; }       // true
   AtomId curly() const { return curly_; }      // {}
+  FunctorId cons() const { return cons_; }     // '.'/2
 
  private:
   struct Functor {
@@ -64,13 +75,20 @@ class SymbolTable {
     int arity;
   };
 
-  std::mutex intern_mutex_;  // guards atom_ids_ / functor_ids_ and appends
+  static uint64_t FunctorKey(AtomId name, int arity) {
+    return (static_cast<uint64_t>(name) << 16) |
+           static_cast<uint64_t>(arity & 0xffff);
+  }
+
+  std::mutex intern_mutex_;  // guards atom_ids_ and every insert or append
   ConcurrentArena<std::string> atom_names_;
   std::unordered_map<std::string, AtomId> atom_ids_;
   ConcurrentArena<Functor> functors_;
-  std::unordered_map<uint64_t, FunctorId> functor_ids_;
+  // Lock-free reads, inserts under intern_mutex_.
+  AtomicKeyMap functor_ids_;
 
   AtomId nil_, comma_, dot_, neck_, apply_, true_, curly_;
+  FunctorId cons_;
 };
 
 }  // namespace xsb

@@ -240,7 +240,7 @@ class Compiler {
     bool has_const = false;
     bool has_struct = false;
     for (Word key : first_keys) (IsFunctor(key) ? has_struct : has_const) = true;
-    const FunctorId cons = symbols_->InternFunctor(symbols_->dot(), 2);
+    const FunctorId cons = symbols_->cons();
     const Word list_key = FunctorCell(cons);
 
     bool need_term_switch = !first_arg_known || (has_const && has_struct);

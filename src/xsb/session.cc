@@ -51,12 +51,17 @@ Status Session::ParseAndSolve(std::string_view goal,
   Result<Word> parsed = reader.ReadClause();
   if (!parsed.ok()) return parsed.status();
   const auto& names = reader.var_names();
+  // One Answer serves every solution: its vector and strings are rendered
+  // over in place, so an answer allocates only what outgrows the previous
+  // one. A callee that moves the answer away leaves it empty; it is then
+  // rebuilt.
+  Answer answer;
   return machine_.Solve(parsed.value(), [&]() {
-    Answer answer;
-    answer.bindings.reserve(names.size());
-    for (const auto& [name, cell] : names) {
-      answer.bindings.emplace_back(name,
-                                   WriteTerm(store_, *program->ops(), cell));
+    answer.bindings.resize(names.size());
+    for (size_t i = 0; i < names.size(); ++i) {
+      auto& [name, value] = answer.bindings[i];
+      name = names[i].first;
+      WriteTermTo(store_, *program->ops(), names[i].second, &value);
     }
     return on_answer(std::move(answer)) ? SolveAction::kContinue
                                         : SolveAction::kStop;

@@ -1,9 +1,11 @@
 // Steady-state operations of the query path that must not touch the global
 // allocator: a duplicate answer insert, a factored answer return, and a
-// first-argument-indexed fact call; and the call template of a new subgoal,
-// which must cost exactly one allocation. This binary replaces the global
-// operator new to count calls, so it is kept apart from the other suites.
-// Sanitizer runtimes own the allocator, so there the tests skip.
+// first-argument-indexed fact call; the call template of a new subgoal,
+// which must cost exactly one allocation; and, through the public API, a
+// cold query and a query on a completed table, neither of which may
+// allocate per answer. This binary replaces the global operator new to count
+// calls, so it is kept apart from the other suites. Sanitizer runtimes own
+// the allocator, so there the tests skip.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +22,7 @@
 #include "term/flat.h"
 #include "term/intern.h"
 #include "term/store.h"
+#include "xsb/engine.h"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define XSB_ALLOC_SANITIZED 1
@@ -185,6 +188,71 @@ TEST_F(ZeroAllocation, CallTemplateDecodeAllocatesOnce) {
   EXPECT_EQ(decoded.cells.capacity(), decoded.cells.size());
   EXPECT_EQ(decoded.cells, Flatten(store_, call).cells);
   EXPECT_EQ(decoded.num_vars, 3u);
+}
+
+// One Engine over two disjoint cycles of a left-recursive closure: nodes
+// 1000..1199 and 2000..2799, so lpath(1000, Y) has 200 answers and
+// lpath(2000, Y) has 800 (goal texts of one length parse alike).
+class PerAnswerAllocation : public ZeroAllocation {
+ protected:
+  void SetUp() override {
+    ZeroAllocation::SetUp();
+    if (IsSkipped()) return;
+    std::string program =
+        ":- table lpath/2.\n"
+        "lpath(X,Y) :- lpath(X,Z), cedge(Z,Y).\n"
+        "lpath(X,Y) :- cedge(X,Y).\n";
+    for (auto [first, n] : {std::pair{1000, 200}, std::pair{2000, 800}}) {
+      for (int i = 0; i < n; ++i) {
+        program += "cedge(" + std::to_string(first + i) + "," +
+                   std::to_string(first + (i + 1) % n) + ").\n";
+      }
+    }
+    ASSERT_TRUE(engine_.ConsultString(program).ok());
+  }
+
+  // Allocations of one run of `goal`, which must return `answers` answers;
+  // `cold` abolishes the tables first (outside the count).
+  uint64_t QueryAllocations(const std::string& goal, size_t answers,
+                            bool cold) {
+    if (cold) engine_.AbolishAllTables();
+    size_t count = 0;
+    uint64_t before = Allocations();
+    Status status = engine_.ForEach(goal, [&count](const Answer&) {
+      ++count;
+      return true;
+    });
+    uint64_t allocated = Allocations() - before;
+    EXPECT_TRUE(status.ok()) << status.message();
+    EXPECT_EQ(count, answers) << goal;
+    return allocated;
+  }
+
+  Engine engine_;
+};
+
+// A cold query allocates per subgoal (its call template, its answer trie's
+// blocks and maps), never per answer: 4x the answers costs only the
+// logarithmic growth of the one table's storage.
+TEST_F(PerAnswerAllocation, ColdQueryAllocatesNothingPerAnswer) {
+  for (int warm = 0; warm < 2; ++warm) {
+    QueryAllocations("lpath(1000, Y)", 200, /*cold=*/true);
+    QueryAllocations("lpath(2000, Y)", 800, /*cold=*/true);
+  }
+  uint64_t small = QueryAllocations("lpath(1000, Y)", 200, /*cold=*/true);
+  uint64_t large = QueryAllocations("lpath(2000, Y)", 800, /*cold=*/true);
+  EXPECT_LE(large, small + 32) << small << " vs " << large;
+}
+
+// Answers read from a completed table allocate nothing at all.
+TEST_F(PerAnswerAllocation, CompletedTableAllocatesNothingPerAnswer) {
+  for (int warm = 0; warm < 2; ++warm) {
+    QueryAllocations("lpath(1000, Y)", 200, /*cold=*/false);
+    QueryAllocations("lpath(2000, Y)", 800, /*cold=*/false);
+  }
+  uint64_t small = QueryAllocations("lpath(1000, Y)", 200, /*cold=*/false);
+  uint64_t large = QueryAllocations("lpath(2000, Y)", 800, /*cold=*/false);
+  EXPECT_EQ(large, small);
 }
 
 }  // namespace

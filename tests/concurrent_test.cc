@@ -136,6 +136,22 @@ TEST(EpochManagerTest, ConcurrentEnterExitRetire) {
   EXPECT_TRUE(epochs.SafeToReclaim(epochs.current()));
 }
 
+// Atoms get no name/0 functor until one is interned for them, so data
+// constants do not grow the functor ids that predicate tables index by.
+TEST(SymbolTableTest, FunctorsAreInternedOnDemand) {
+  SymbolTable symbols;
+  AtomId data = symbols.InternAtom("data_constant");
+  EXPECT_EQ(symbols.FindFunctor(data, 0), SymbolTable::kNoFunctor);
+  EXPECT_EQ(symbols.FindFunctor(data, 2), SymbolTable::kNoFunctor);
+  FunctorId f0 = symbols.InternFunctor(data, 0);
+  FunctorId f2 = symbols.InternFunctor(data, 2);
+  EXPECT_NE(f0, f2);
+  EXPECT_EQ(symbols.FindFunctor(data, 0), f0);
+  EXPECT_EQ(symbols.FindFunctor(data, 2), f2);
+  EXPECT_EQ(symbols.InternFunctor(data, 0), f0);
+  EXPECT_EQ(symbols.FindFunctor(symbols.dot(), 2), symbols.cons());
+}
+
 TEST(SymbolTableTest, ConcurrentInterningDeduplicates) {
   SymbolTable symbols;
   constexpr int kThreads = 4;

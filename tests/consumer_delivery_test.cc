@@ -428,6 +428,88 @@ TEST(ConsumerDeliveryEdge, RetractFromAnAnswerCallback) {
   EXPECT_EQ(CountersOf(engine), (Counters{1, 6, 0, 2, 6}));
 }
 
+// --- Evaluation counters -----------------------------------------------------
+//
+// The answer-path counters (answers_inserted and the rest) are gathered by
+// each session during a batch and added into the shared TableStats when the
+// batch ends; table_stats/2 adds them in before it reads them.
+
+// Entry `name` of a table_stats/2 list rendered as "[a - 1,b - 2,...]".
+uint64_t StatEntry(const std::string& stats, const std::string& name) {
+  for (const char* lead : {"[", ","}) {
+    std::string key = lead + name + " - ";
+    size_t at = stats.find(key);
+    if (at != std::string::npos) {
+      return std::stoull(stats.substr(at + key.size()));
+    }
+  }
+  ADD_FAILURE() << "no " << name << " in " << stats;
+  return 0;
+}
+
+// The rendered table_stats(all, S) list.
+std::string AllTableStats(Engine& engine) {
+  std::string stats;
+  Status s = engine.ForEach("table_stats(all, S)", [&stats](const Answer& a) {
+    stats = a["S"];
+    return false;
+  });
+  EXPECT_TRUE(s.ok()) << s.message();
+  return stats;
+}
+
+TEST(EvaluationCounters, TableStatsInsideABatchSeesItsAnswers) {
+  // The third clause runs while t/1's batch is still open, after the first
+  // two clauses stored their answers: table_stats/2 counts both.
+  const char program[] =
+      ":- table t/1.\n"
+      "t(1).\n"
+      "t(2).\n"
+      "t(N) :- table_stats(all, S), entry(answers_inserted, S, K),\n"
+      "        N is 100 + K.\n"
+      "entry(Name, [Name - V | _], V).\n"
+      "entry(Name, [_ | T], V) :- entry(Name, T, V).\n";
+  Engine engine;
+  ASSERT_TRUE(engine.ConsultString(program).ok());
+  EXPECT_EQ(Answers(engine, "t(X)", {"X"}), (AnswerSet{{"1"}, {"2"}, {"102"}}));
+  EXPECT_EQ(StatEntry(AllTableStats(engine), "answers_inserted"), 3u);
+}
+
+TEST(EvaluationCounters, ColdQueryInsertsExactlyItsTableSizes) {
+  // Right recursion over a graph with a cycle and converging paths: many
+  // subgoals, and duplicate answers, which are not inserted.
+  const std::string program =
+      ":- table p/2.\n"
+      "p(X,Y) :- e(X,Y).\n"
+      "p(X,Y) :- e(X,Z), p(Z,Y).\n" +
+      Edges("e", {{1, 2}, {1, 3}, {2, 4}, {3, 4}, {4, 5}, {5, 2}, {5, 6}});
+  Engine engine;
+  ASSERT_TRUE(engine.ConsultString(program).ok());
+  EXPECT_EQ(Answers(engine, "p(1,Y)", {"Y"}).size(), 5u);
+  std::string stats = AllTableStats(engine);
+  EXPECT_GT(StatEntry(stats, "subgoals"), 1u);
+  EXPECT_EQ(StatEntry(stats, "answers_inserted"), StatEntry(stats, "answers"));
+  const TableStats& shared = engine.evaluator().tables().stats();
+  EXPECT_EQ(shared.answers_inserted.load(), StatEntry(stats, "answers"));
+  EXPECT_GT(shared.duplicate_answers.load(), 0u);
+}
+
+TEST(EvaluationCounters, MinTableLiveAnswersAreInsertsLessReplacements) {
+  const std::vector<std::vector<int>> weighted = {
+      {1, 2, 1}, {1, 3, 50}, {2, 3, 1}, {3, 4, 50}, {2, 4, 5},
+      {4, 5, 1}, {5, 1, 2}, {3, 5, 9}, {1, 5, 30}};
+  const std::string program = kShortestPath + Triples("w", weighted);
+  Engine engine;
+  ASSERT_TRUE(engine.ConsultString(program).ok());
+  EXPECT_EQ(Answers(engine, "sp(1,Y,C)", {"Y", "C"}),
+            ShortestFromOne(5, weighted));
+  std::string stats = AllTableStats(engine);
+  uint64_t replaced = StatEntry(stats, "subsumed_replaced");
+  EXPECT_GT(replaced, 0u);
+  EXPECT_EQ(StatEntry(stats, "answers"),
+            StatEntry(stats, "answers_inserted") - replaced);
+}
+
 // --- Table memory -----------------------------------------------------------
 
 // The `bytes` entry of table_stats(Goal, S), rendered as "bytes - N".

@@ -269,6 +269,20 @@ TEST_F(EngineTest, UnknownPredicateIsAnError) {
   EXPECT_EQ(s.code(), ErrorCode::kExistence);
 }
 
+// An atom goal finds its functor without interning it: a never-defined atom
+// is an existence error, and one asserted later is then callable.
+TEST_F(EngineTest, AtomGoalsResolveWithoutInterning) {
+  Status s = SolveStatus("never_defined_atom");
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), ErrorCode::kExistence);
+  s = SolveStatus("X = never_defined_either, call(X)");
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), ErrorCode::kExistence);
+  EXPECT_TRUE(Holds("assert(defined_later)"));
+  EXPECT_TRUE(Holds("defined_later"));
+  EXPECT_TRUE(Holds("X = defined_later, call(X)"));
+}
+
 TEST_F(EngineTest, CallToVariableIsInstantiationError) {
   Status s = SolveStatus("call(X)");
   ASSERT_FALSE(s.ok());
