@@ -6,6 +6,11 @@
 //   1. the general reader (full HiLog parser + assert),
 //   2. the formatted read,
 //   3. binary object files.
+// Then consult time against program shape, where the per-fact rows above
+// cannot show it: N one-clause predicates calling each other in a cycle,
+// and N predicates that each meta-call an unknown goal (`call(G)`, which
+// the analyzer must assume reaches every predicate). Time per predicate
+// should stay flat as N grows; a rising column is superlinear consult work.
 
 #include <cstdio>
 #include <fstream>
@@ -77,6 +82,46 @@ int main() {
       "object files ~12x faster than formatted read + assert. On modern\n"
       "hardware absolute times shrink; the ordering and the order-of-\n"
       "magnitude gap between parsing and binary loading are the shape.\n");
+
+  // p0(X) :- p1(X). ... p{N-1}(X) :- p0(X).
+  auto cycle = [](int n) {
+    std::string text;
+    for (int i = 0; i < n; ++i) {
+      text += "p" + std::to_string(i) + "(X) :- p" +
+              std::to_string((i + 1) % n) + "(X).\n";
+    }
+    return text;
+  };
+  // m0(G) :- call(G). ... m{N-1}(G) :- call(G).
+  auto meta = [](int n) {
+    std::string text;
+    for (int i = 0; i < n; ++i) {
+      text += "m" + std::to_string(i) + "(G) :- call(G).\n";
+    }
+    return text;
+  };
+  struct Shape {
+    const char* label;
+    int n;
+    std::string text;
+  };
+  const Shape shapes[] = {
+      {"cycle", 10000, cycle(10000)}, {"cycle", 50000, cycle(50000)},
+      {"cycle", 200000, cycle(200000)}, {"meta-call", 1000, meta(1000)},
+      {"meta-call", 4000, meta(4000)},
+  };
+  PrintHeader("consult time against program shape (one clause per predicate)");
+  PrintRow("program", {"preds", "total ms", "us/pred"}, 26, 12);
+  for (const Shape& shape : shapes) {
+    double t = xsb::bench::TimeOnce([&]() {
+      xsb::Engine engine;
+      if (!engine.ConsultString(shape.text).ok()) std::abort();
+    });
+    PrintRow(shape.label,
+             {std::to_string(shape.n), Fmt(t * 1e3, 1),
+              Fmt(t / shape.n * 1e6, 2)},
+             26, 12);
+  }
 
   std::remove(prolog_path.c_str());
   std::remove(formatted_path.c_str());

@@ -104,8 +104,7 @@ Row Run(const Workload& w) {
                                         w.entry_arity);
   entry.call = w.entry_call;
   options.mode_entries.push_back(entry);
-  analysis::AnalysisResult result = analysis::Analyze(program, options);
-  analysis::PublishModes(&program, result);
+  analysis::AnalyzeAndPublish(&program, options);
 
   wam::CompileOptions on;
   on.specialize = true;

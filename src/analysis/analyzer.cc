@@ -29,6 +29,15 @@ struct Bindings {
   }
 };
 
+// A widened call site's synthetic target, one per polarity (see
+// AnalysisResult::edges): ids just below kNoFunctor, above every real one.
+FunctorId Hub(EdgeKind kind) {
+  return kNoFunctor - 3 + static_cast<FunctorId>(kind);
+}
+bool IsHub(FunctorId f) {
+  return f >= Hub(EdgeKind::kPositive) && f != kNoFunctor;
+}
+
 // Per-callee accumulation for the index advisor.
 struct CallProfile {
   size_t calls = 0;
@@ -53,6 +62,13 @@ class Analyzer {
                     Bindings* bind);
   void AddEdge(FunctorId callee, EdgeKind kind);
   void WidenHiLog(EdgeKind polarity);
+  // Walks a goal whose calls and cuts are local to it (negation, once/1,
+  // call/1, aggregates): off the body's own spine for the cut check.
+  void WalkOffSpine(size_t pos, EdgeKind polarity, Bindings* bind);
+  // Section 4.4: a cut on the spine after a tabled call on the spine could
+  // close over a partially computed table (S005).
+  void NoteSpineCall(FunctorId callee);
+  void CheckCut();
   void RecordCallSite(FunctorId callee, size_t pos, const Bindings& bind);
 
   // --- Pass 1-5 -------------------------------------------------------------
@@ -60,7 +76,8 @@ class Analyzer {
   void StratificationPass();
   void SubsumptionPass();
   void ModePass();
-  void AdvisorPass();
+  void TableAdvisorPass();
+  void IndexAdvisorPass();
   void LintPass();
 
   void Diag(DiagCode code, Severity severity, FunctorId functor,
@@ -90,6 +107,8 @@ class Analyzer {
   const Clause* cur_clause_ = nullptr;
   std::unordered_set<uint64_t> clause_diags_;  // (code << 32) ^ clause ordinal
   uint64_t clause_ordinal_ = 0;
+  bool on_spine_ = true;     // walking the body's own ,/;/-> spine
+  bool spine_tabled_ = false;  // ...which has called a tabled predicate
 
   std::unordered_map<FunctorId, std::vector<std::pair<FunctorId, EdgeKind>>>
       adjacency_;
@@ -153,10 +172,42 @@ void Analyzer::AddEdge(FunctorId callee, EdgeKind kind) {
 
 void Analyzer::WidenHiLog(EdgeKind polarity) {
   // A meta-call whose target is unknown at consult time (a variable goal,
-  // or a call/N closure held in a variable) may reach any predicate: add an
-  // edge to every defined predicate. Coarse, but it keeps the verdict sound.
+  // or a call/N closure held in a variable) may reach any predicate: an
+  // edge to its polarity's hub, which on first use gets an edge to every
+  // defined predicate. Coarse, but it keeps the verdict sound.
   result_.widened = true;
-  for (FunctorId f : nodes_) AddEdge(f, polarity);
+  FunctorId hub = Hub(polarity);
+  AddEdge(hub, polarity);
+  auto [it, fresh] = adjacency_.try_emplace(hub);
+  if (!fresh) return;
+  for (FunctorId f : nodes_) {
+    it->second.emplace_back(f, polarity);
+    result_.edges.push_back(CallEdge{hub, f, polarity, SourceSpan{}});
+  }
+}
+
+void Analyzer::WalkOffSpine(size_t pos, EdgeKind polarity, Bindings* bind) {
+  bool spine = on_spine_;
+  on_spine_ = false;
+  WalkGoal(pos, polarity, bind);
+  on_spine_ = spine;
+}
+
+void Analyzer::NoteSpineCall(FunctorId callee) {
+  if (!on_spine_ || spine_tabled_) return;
+  const Predicate* pred = program_.Lookup(callee);
+  spine_tabled_ = pred != nullptr && pred->tabled();
+}
+
+void Analyzer::CheckCut() {
+  if (!on_spine_ || !spine_tabled_ || options_.structure_only ||
+      !OncePerClause(DiagCode::kCutOverTable)) {
+    return;
+  }
+  Diag(DiagCode::kCutOverTable, Severity::kError, cur_head_,
+       "a cut would close over a partially computed table; restructure "
+       "the clause or use tcut semantics via e_tnot (section 4.4)",
+       cur_clause_->span);
 }
 
 void Analyzer::RecordCallSite(FunctorId callee, size_t pos,
@@ -199,7 +250,13 @@ void Analyzer::WalkGoal(size_t pos, EdgeKind polarity, Bindings* bind) {
     return;
   }
   if (IsAtom(w)) {
+    const std::string& name = symbols_.AtomName(AtomOf(w));
+    if (name == "!" || name == "tcut") {
+      CheckCut();
+      return;
+    }
     FunctorId f = symbols_.InternFunctor(AtomOf(w), 0);
+    NoteSpineCall(f);
     if (IsControl(f) || builtins_.Find(f) != nullptr) return;
     AddEdge(f, polarity);
     RecordCallSite(f, pos, *bind);
@@ -247,7 +304,7 @@ void Analyzer::WalkGoal(size_t pos, EdgeKind polarity, Bindings* bind) {
 
   if (arity == 1 && (name == "\\+" || name == "tnot" || name == "e_tnot" ||
                      name == "not")) {
-    if (options_.safety_pass && !AllVarsBound(a1, *bind) &&
+    if (!options_.structure_only && !AllVarsBound(a1, *bind) &&
         OncePerClause(DiagCode::kUnsafeNegation)) {
       Diag(DiagCode::kUnsafeNegation, Severity::kWarning, cur_head_,
            "variable under " + name +
@@ -257,12 +314,12 @@ void Analyzer::WalkGoal(size_t pos, EdgeKind polarity, Bindings* bind) {
     }
     // Bindings made inside a negation never escape it.
     Bindings inner = *bind;
-    WalkGoal(a1, EdgeKind::kNegative, &inner);
+    WalkOffSpine(a1, EdgeKind::kNegative, &inner);
     return;
   }
 
   if (arity == 1 && (name == "once" || name == "call")) {
-    WalkGoal(a1, polarity, bind);
+    WalkOffSpine(a1, polarity, bind);
     return;
   }
 
@@ -298,12 +355,14 @@ void Analyzer::WalkGoal(size_t pos, EdgeKind polarity, Bindings* bind) {
     // stratification it behaves like negation (the whole answer set is
     // needed before the aggregate can be produced).
     Bindings inner = *bind;
-    WalkGoal(a2, EdgeKind::kAggregate, &inner);
+    WalkOffSpine(a2, EdgeKind::kAggregate, &inner);
     std::vector<uint64_t> vars;
     VarsOf(a3, &vars);
     for (uint64_t v : vars) bind->Generate(v);
     return;
   }
+
+  NoteSpineCall(f);
 
   if (arity == 2 && name == "=") {
     // Unification can bind either side; treat every variable as generated.
@@ -315,7 +374,7 @@ void Analyzer::WalkGoal(size_t pos, EdgeKind polarity, Bindings* bind) {
 
   if (arity == 2 && name == "is") {
     size_t rhs = SkipFlatSubterm(symbols_, cells, a1);
-    if (options_.safety_pass && !AllVarsBound(rhs, *bind) &&
+    if (!options_.structure_only && !AllVarsBound(rhs, *bind) &&
         OncePerClause(DiagCode::kUnsafeArith)) {
       Diag(DiagCode::kUnsafeArith, Severity::kWarning, cur_head_,
            "arithmetic over a variable the body never binds: is/2 will "
@@ -330,7 +389,7 @@ void Analyzer::WalkGoal(size_t pos, EdgeKind polarity, Bindings* bind) {
 
   if (arity == 2 && (name == "=:=" || name == "=\\=" || name == "<" ||
                      name == ">" || name == "=<" || name == ">=")) {
-    if (options_.safety_pass && !AllVarsBound(pos, *bind) &&
+    if (!options_.structure_only && !AllVarsBound(pos, *bind) &&
         OncePerClause(DiagCode::kUnsafeArith)) {
       Diag(DiagCode::kUnsafeArith, Severity::kWarning, cur_head_,
            "arithmetic comparison over a variable the body never binds",
@@ -367,6 +426,8 @@ void Analyzer::CollectClause(FunctorId head, const Clause& clause) {
   cur_head_ = head;
   cur_clause_ = &clause;
   ++clause_ordinal_;
+  on_spine_ = true;
+  spine_tabled_ = false;
 
   Bindings bind;
   bind.generated.assign(clause.term.num_vars, false);
@@ -385,7 +446,7 @@ void Analyzer::CollectClause(FunctorId head, const Clause& clause) {
     WalkGoal(head_end, EdgeKind::kPositive, &bind);
   }
 
-  if (options_.safety_pass) {
+  if (!options_.structure_only) {
     for (uint64_t v : head_vars) {
       if (!bind.generated[v]) {
         if (OncePerClause(DiagCode::kUnsafeHead)) {
@@ -419,6 +480,12 @@ void Analyzer::ComputeSccs() {
   for (auto& [from, out] : adjacency_) {
     std::sort(out.begin(), out.end());
     out.erase(std::unique(out.begin(), out.end()), out.end());
+    // A widened caller reaches every predicate through its hubs, which sort
+    // last. Visiting only them keeps the depth-first order, and with it the
+    // SCC numbering, that a direct edge to each predicate would give.
+    auto hub = std::find_if(out.begin(), out.end(),
+                            [](const auto& e) { return IsHub(e.first); });
+    if (hub != out.end()) out.erase(out.begin(), hub);
     (void)from;
   }
 
@@ -429,7 +496,7 @@ void Analyzer::ComputeSccs() {
     return it == adjacency_.end() ? kEmpty : it->second;
   };
   auto defined = [&](FunctorId v) {
-    return std::binary_search(nodes_.begin(), nodes_.end(), v);
+    return IsHub(v) || std::binary_search(nodes_.begin(), nodes_.end(), v);
   };
 
   for (FunctorId root : nodes_) {
@@ -464,12 +531,11 @@ void Analyzer::ComputeSccs() {
           FunctorId w = stack.back();
           stack.pop_back();
           on_stack[w] = false;
-          scc.members.push_back(w);
+          result_.scc_of[w] = static_cast<int>(result_.sccs.size());
+          if (!IsHub(w)) scc.members.push_back(w);
           if (w == frame.v) break;
         }
         std::sort(scc.members.begin(), scc.members.end());
-        int id = static_cast<int>(result_.sccs.size());
-        for (FunctorId w : scc.members) result_.scc_of[w] = id;
         result_.sccs.push_back(std::move(scc));
       }
       FunctorId done = frame.v;
@@ -480,7 +546,8 @@ void Analyzer::ComputeSccs() {
     }
   }
 
-  // Mark recursive components: size > 1, or a self-edge.
+  // Mark recursive components: size > 1, or a self-edge (for a widened
+  // caller, its edge to a hub).
   for (const CallEdge& edge : result_.edges) {
     auto it_from = result_.scc_of.find(edge.from);
     auto it_to = result_.scc_of.find(edge.to);
@@ -493,6 +560,8 @@ void Analyzer::ComputeSccs() {
     if (edge.kind != EdgeKind::kPositive && !scc.negative_internal) {
       scc.negative_internal = true;
       scc.witness = edge;
+      // The first internal target of a direct edge to every predicate.
+      if (IsHub(edge.to)) scc.witness.to = scc.members.front();
     }
   }
   for (SccInfo& scc : result_.sccs) {
@@ -630,10 +699,11 @@ void Analyzer::ModePass() {
   }
 }
 
-void Analyzer::AdvisorPass() {
+void Analyzer::TableAdvisorPass() {
   // Auto-table advisor: any predicate on a call-graph cycle can loop under
   // plain SLD; tabling every member of a recursive component breaks every
-  // loop (the paper's table_all analysis, section 4.3).
+  // loop (the paper's table_all analysis, section 4.3). Structural, so a
+  // structure-only analysis gives the suggestions too, without A001.
   for (const SccInfo& scc : result_.sccs) {
     if (!scc.recursive) continue;
     for (FunctorId f : scc.members) {
@@ -643,6 +713,7 @@ void Analyzer::AdvisorPass() {
         continue;
       }
       result_.table_suggestions.push_back(f);
+      if (options_.structure_only) continue;
       SourceSpan span;
       for (const Clause& clause : pred->clauses()) {
         if (!clause.erased) {
@@ -660,7 +731,9 @@ void Analyzer::AdvisorPass() {
   }
   std::sort(result_.table_suggestions.begin(),
             result_.table_suggestions.end());
+}
 
+void Analyzer::IndexAdvisorPass() {
   // Index advisor: a predicate whose call sites never bind argument 1 but
   // always bind some other argument wants an index on that argument
   // (section 4.5's binding-pattern driven index directives).
@@ -802,6 +875,7 @@ void Analyzer::LintPass() {
   // L003: calls to predicates with no clauses and no declaration.
   std::unordered_set<FunctorId> reported;
   for (const CallEdge& edge : result_.edges) {
+    if (IsHub(edge.to)) continue;
     if (!reported.insert(edge.to).second) continue;
     const Predicate* pred = program_.Lookup(edge.to);
     if (pred != nullptr &&
@@ -838,41 +912,18 @@ AnalysisResult Analyzer::Run() {
   ComputeSccs();
   StratificationPass();
   SubsumptionPass();
-  if (options_.mode_pass) ModePass();
-  if (options_.advisor_pass) AdvisorPass();
-  if (options_.lint_pass) LintPass();
+  if (!options_.structure_only) ModePass();
+  TableAdvisorPass();
+  if (options_.structure_only) return result_;
+  IndexAdvisorPass();
+  LintPass();
 
   // L001 singleton lints are found while reading (variable names do not
   // survive flattening); the loader parked them on the program.
-  if (options_.lint_pass) {
-    for (const Diagnostic& lint : program_.consult_lints()) {
-      result_.diagnostics.push_back(lint);
-    }
+  for (const Diagnostic& lint : program_.consult_lints()) {
+    result_.diagnostics.push_back(lint);
   }
   return result_;
-}
-
-}  // namespace
-
-AnalysisResult Analyze(const Program& program, const AnalyzeOptions& options) {
-  Analyzer analyzer(program, options);
-  return analyzer.Run();
-}
-
-std::vector<FunctorId> ApplyTableSuggestions(
-    Program* program, const AnalysisResult& result,
-    const std::vector<FunctorId>& scope) {
-  std::unordered_set<FunctorId> in_scope(scope.begin(), scope.end());
-  std::vector<FunctorId> newly_tabled;
-  for (FunctorId f : result.table_suggestions) {
-    if (!scope.empty() && in_scope.count(f) == 0) continue;
-    Predicate* pred = program->Lookup(f);
-    if (pred != nullptr && !pred->tabled()) {
-      pred->set_tabled(true);
-      newly_tabled.push_back(f);
-    }
-  }
-  return newly_tabled;
 }
 
 void PublishVerdict(Program* program, const AnalysisResult& result) {
@@ -912,7 +963,7 @@ std::unordered_map<FunctorId, std::vector<FunctorId>> IncrementalDependencies(
     while (!work.empty()) {
       FunctorId reached = work.back();
       work.pop_back();
-      deps[reached].push_back(functor);
+      if (!IsHub(reached)) deps[reached].push_back(functor);
       auto it = callers.find(reached);
       if (it == callers.end()) continue;
       for (FunctorId caller : it->second) {
@@ -923,48 +974,17 @@ std::unordered_map<FunctorId, std::vector<FunctorId>> IncrementalDependencies(
   return deps;
 }
 
-void PublishIncrementalDeps(Program* program, const AnalysisResult& result) {
-  program->SetIncrementalDeps(IncrementalDependencies(*program, result));
-}
-
-void PublishEvalShards(Program* program, const AnalysisResult& result) {
-  // A component contributes its shard bit only when it contains a tabled
-  // predicate: untabled SCCs never materialize subgoals, so including them
-  // would make every pair of queries that shares a helper predicate collide
-  // on a shard for no reason.
-  size_t n = result.sccs.size();
-  std::vector<ShardMask> self_bit(n, 0);
-  for (size_t c = 0; c < n; ++c) {
-    for (FunctorId member : result.sccs[c].members) {
-      const Predicate* pred = program->Lookup(member);
-      if (pred != nullptr && pred->tabled()) {
-        self_bit[c] =
-            EvalShardBit(static_cast<int>(c) % kNumEvalShards);
-        break;
-      }
-    }
-  }
-  // Tarjan discovery order is reverse topological: every edge leads from a
-  // later component to an earlier one, so one ascending pass over the
-  // components sees each edge target's mask already finished.
-  std::vector<ShardMask> reach(n, 0);
-  std::vector<std::vector<int>> out_sccs(n);
-  for (const CallEdge& edge : result.edges) {
-    auto from = result.scc_of.find(edge.from);
-    auto to = result.scc_of.find(edge.to);
-    if (from == result.scc_of.end() || to == result.scc_of.end()) continue;
-    if (from->second != to->second) {
-      out_sccs[static_cast<size_t>(from->second)].push_back(to->second);
-    }
-  }
-  for (size_t c = 0; c < n; ++c) {
-    reach[c] = self_bit[c];
-    for (int target : out_sccs[c]) {
-      reach[c] |= reach[static_cast<size_t>(target)];
-    }
-  }
-  // A widened graph (HiLog / call-N forced edges to every in-scope
-  // predicate) already reaches everything tabled, but make the coarse
+// Assigns each predicate its evaluation shard (call-graph SCC index mod
+// kNumEvalShards) and the mask of shards holding *tabled* SCCs statically
+// reachable from it. The shared-table evaluator acquires a cold batch's
+// whole reach mask up front, so batches over call-graph-independent tabled
+// subgoals own disjoint shard sets and evaluate concurrently. Masks are
+// hints, not load-bearing: clauses asserted after this pass can understate
+// reachability, which the evaluator's per-call ownership check repairs at
+// runtime (shard escalation, or the coarse-lock fallback).
+void PublishEvalShards(Program* program, const AnalysisResult& result,
+                       const std::vector<ShardMask>& reach) {
+  // A widened graph already reaches everything tabled, but make the coarse
   // fallback explicit: unknown masks mean "all shards" downstream.
   for (const auto& pred : program->predicates()) {
     if (pred == nullptr) continue;
@@ -978,6 +998,35 @@ void PublishEvalShards(Program* program, const AnalysisResult& result) {
     ShardMask mask = result.widened ? kAllEvalShards
                                     : reach[static_cast<size_t>(scc)];
     pred->set_eval_shards(scc % kNumEvalShards, mask);
+  }
+}
+
+}  // namespace
+
+AnalysisResult Analyze(const Program& program, const AnalyzeOptions& options) {
+  Analyzer analyzer(program, options);
+  return analyzer.Run();
+}
+
+AnalysisResult AnalyzeAndPublish(Program* program,
+                                 const AnalyzeOptions& options) {
+  AnalysisResult result = Analyze(*program, options);
+  PublishVerdict(program, result);
+  program->SetIncrementalDeps(IncrementalDependencies(*program, result));
+  SccShards shards = ComputeSccShards(*program, result);
+  PublishEvalShards(program, result, shards.reach);
+  // A structure-only result has no modes; publishing its empty mode set
+  // would clear the modes published before.
+  if (!options.structure_only) PublishModes(program, result, shards);
+  return result;
+}
+
+void ApplyTableSuggestions(Program* program, const AnalysisResult& result,
+                           const std::vector<FunctorId>& scope) {
+  for (FunctorId f : result.table_suggestions) {
+    if (!std::binary_search(scope.begin(), scope.end(), f)) continue;
+    Predicate* pred = program->Lookup(f);
+    if (pred != nullptr && !pred->tabled()) pred->set_tabled(true);
   }
 }
 

@@ -45,12 +45,17 @@ enum class StratVerdict {
 
 // Everything the consult-time pass pipeline produced.
 struct AnalysisResult {
+  // A widened call site (see `widened`) is one edge to the hub of its
+  // polarity, a synthetic node with an edge to every defined predicate: the
+  // same reachability as an edge to each, in linear space. Hub ids lie above
+  // every real functor id; they occur in `edges` and `scc_of` (in the
+  // component of the widened callers), never in SCC members or diagnostics.
   std::vector<CallEdge> edges;
   std::vector<SccInfo> sccs;
   std::unordered_map<FunctorId, int> scc_of;
   StratVerdict verdict = StratVerdict::kStratified;
-  // True when a HiLog/var call forced conservative widening (edges to every
-  // in-scope predicate), making SCCs coarser than the real call structure.
+  // True when a HiLog/var call forced conservative widening (it may reach
+  // any predicate), making SCCs coarser than the real call structure.
   bool widened = false;
 
   std::vector<Diagnostic> diagnostics;
@@ -61,19 +66,18 @@ struct AnalysisResult {
   std::vector<std::pair<FunctorId, int>> index_suggestions;
 
   // Mode/groundness analysis output (per-predicate call-pattern tabulation);
-  // empty when the mode pass is disabled.
+  // empty for a structure-only analysis.
   ModeResult modes;
 
   bool stratified() const { return verdict == StratVerdict::kStratified; }
 };
 
 struct AnalyzeOptions {
-  bool safety_pass = true;
-  bool advisor_pass = true;
-  bool lint_pass = true;
-  // Run the abstract-interpretation mode pass (analysis/modes.h) and fold
-  // its M001-M003 findings into the diagnostics.
-  bool mode_pass = true;
+  // Build only the call graph, its SCCs, the stratification verdict and the
+  // auto-table suggestions: no safety, cut-check, index-advisor, lint or mode
+  // findings. What applying :- auto_table. and republishing after a runtime
+  // change need, without the mode fixpoint's cost.
+  bool structure_only = false;
   // Known entry-point call shapes to seed the mode fixpoint with, beyond
   // what in-program call sites reveal.
   std::vector<ModeEntry> mode_entries;
@@ -81,46 +85,33 @@ struct AnalyzeOptions {
 
 // Runs the pass pipeline over every predicate of `program`: call-graph
 // construction (positive/negative/aggregated edges, HiLog calls widened
-// conservatively), Tarjan SCCs, stratification check, safety analysis,
-// auto-table and index advisors, and style lints. Appends the consult-time
-// lints stored on the program (singleton variables) to the diagnostics.
-// Read-only: never mutates the program.
+// conservatively), Tarjan SCCs, stratification check, safety analysis
+// (including the section 4.4 cut check), auto-table and index advisors,
+// mode analysis and style lints. Appends the consult-time lints stored on
+// the program (singleton variables) to the diagnostics. Read-only: never
+// mutates the program.
 AnalysisResult Analyze(const Program& program,
                        const AnalyzeOptions& options = AnalyzeOptions());
 
-// Applies `result`'s auto-table suggestions restricted to `scope` (the
-// predicates a consult unit defined; empty = all). Returns the functors
-// newly tabled. This is what `:- auto_table.` runs.
-std::vector<FunctorId> ApplyTableSuggestions(
-    Program* program, const AnalysisResult& result,
-    const std::vector<FunctorId>& scope);
+// Analyze(), then stores on the program what the runtime reads from it:
+//   * the stratification verdict: every member of a negation-infected SCC
+//     gets its S001 message, which the tabling evaluator uses to replace its
+//     generic runtime kStratification error;
+//   * per-predicate sets of incremental dynamic predicates reachable through
+//     the call graph, which seed the table space's dependency edges, so that
+//     invalidation over-approximates the truly affected tables even where
+//     the runtime edge capture is blind (call/N, HiLog widening);
+//   * each predicate's evaluation shard and shard reach mask;
+//   * unless `options.structure_only`, the inferred modes (PublishModes).
+// Every caller that analyzes a live program goes through here.
+AnalysisResult AnalyzeAndPublish(
+    Program* program, const AnalyzeOptions& options = AnalyzeOptions());
 
-// Stores the stratification verdict on the program: every member of a
-// negation-infected SCC gets its S001 message, which the tabling evaluator
-// uses to replace its generic runtime kStratification error.
-void PublishVerdict(Program* program, const AnalysisResult& result);
-
-// Per-predicate sets of incremental dynamic predicates reachable through the
-// call graph (a predicate declared incremental reaches itself). These seed
-// the table space's subgoal->predicate dependency edges, guaranteeing that
-// invalidation over-approximates the truly affected tables even where the
-// runtime edge capture is blind (call/N, HiLog widening).
-std::unordered_map<FunctorId, std::vector<FunctorId>> IncrementalDependencies(
-    const Program& program, const AnalysisResult& result);
-
-// Stores IncrementalDependencies() on the program for the evaluator to read
-// when it creates tables.
-void PublishIncrementalDeps(Program* program, const AnalysisResult& result);
-
-// Assigns each predicate its evaluation shard (call-graph SCC index mod
-// kNumEvalShards) and the mask of shards holding *tabled* SCCs statically
-// reachable from it. The shared-table evaluator acquires a cold batch's
-// whole reach mask up front, so batches over call-graph-independent tabled
-// subgoals own disjoint shard sets and evaluate concurrently. Masks are
-// hints, not load-bearing: clauses asserted after this pass can understate
-// reachability, which the evaluator's per-call ownership check repairs at
-// runtime (shard escalation, or the coarse-lock fallback).
-void PublishEvalShards(Program* program, const AnalysisResult& result);
+// Tables `result`'s auto-table suggestions that lie in `scope` (sorted: the
+// predicates a consult unit defined). This is what `:- auto_table.` and
+// `:- table_all.` run.
+void ApplyTableSuggestions(Program* program, const AnalysisResult& result,
+                           const std::vector<FunctorId>& scope);
 
 }  // namespace xsb::analysis
 

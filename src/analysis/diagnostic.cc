@@ -12,6 +12,8 @@ const char* DiagCodeName(DiagCode code) {
       return "S003";
     case DiagCode::kUnsafeArith:
       return "S004";
+    case DiagCode::kCutOverTable:
+      return "S005";
     case DiagCode::kAutoTable:
       return "A001";
     case DiagCode::kIndexAdvice:

@@ -31,6 +31,8 @@ enum class DiagCode {
   kUnsafeNegation,   // S002: variable under \+/tnot not bound by the body
   kUnsafeHead,       // S003: head variable not range-restricted by the body
   kUnsafeArith,      // S004: unbound variable in an arithmetic expression
+  kCutOverTable,     // S005: a cut after a tabled call could close over a
+                     // partially computed table (section 4.4)
   // Advisors (A...)
   kAutoTable,        // A001: predicate in a recursive SCC should be tabled
   kIndexAdvice,      // A002: call sites suggest a different index directive

@@ -744,17 +744,6 @@ ModeResult AnalyzeModes(const Program& program, const AnalysisResult& analysis,
   return analyzer.Run();
 }
 
-namespace {
-
-// Shard bit of each SCC (set only when the component holds a tabled
-// predicate) and functor-level reach masks, recomputed exactly as
-// PublishEvalShards assigns them so the per-pattern masks refine rather than
-// contradict the predicate-level ones.
-struct SccShards {
-  std::vector<ShardMask> self_bit;
-  std::vector<ShardMask> reach;
-};
-
 SccShards ComputeSccShards(const Program& program,
                            const AnalysisResult& analysis) {
   size_t n = analysis.sccs.size();
@@ -781,7 +770,9 @@ SccShards ComputeSccShards(const Program& program,
       out_sccs[static_cast<size_t>(from->second)].push_back(to->second);
     }
   }
-  // Tarjan discovery order is reverse topological: one ascending pass.
+  // Tarjan discovery order is reverse topological: every edge leads from a
+  // later component to an earlier one, so one ascending pass sees each
+  // edge target's mask already finished.
   for (size_t c = 0; c < n; ++c) {
     out.reach[c] = out.self_bit[c];
     for (int target : out_sccs[c]) {
@@ -790,6 +781,8 @@ SccShards ComputeSccShards(const Program& program,
   }
   return out;
 }
+
+namespace {
 
 std::vector<uint8_t> InstBytes(const InstVec& vec) {
   std::vector<uint8_t> out;
@@ -800,9 +793,9 @@ std::vector<uint8_t> InstBytes(const InstVec& vec) {
 
 }  // namespace
 
-void PublishModes(Program* program, const AnalysisResult& analysis) {
+void PublishModes(Program* program, const AnalysisResult& analysis,
+                  const SccShards& shards) {
   const ModeResult& modes = analysis.modes;
-  SccShards shards = ComputeSccShards(*program, analysis);
   auto self_bit_of = [&](FunctorId f) -> ShardMask {
     auto it = analysis.scc_of.find(f);
     if (it == analysis.scc_of.end()) return 0;

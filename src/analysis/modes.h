@@ -136,14 +136,30 @@ struct ModeEntry {
 ModeResult AnalyzeModes(const Program& program, const AnalysisResult& analysis,
                         const std::vector<ModeEntry>& entries = {});
 
+// Per call-graph SCC of `analysis`: its evaluation shard bit (set only when
+// the component holds a tabled predicate: untabled SCCs never materialize
+// subgoals, so including them would make every pair of queries that shares
+// a helper predicate collide on a shard for no reason) and the union of the
+// bits it statically reaches. The predicate-level masks of AnalyzeAndPublish
+// and the per-pattern masks of PublishModes both derive from these, so the
+// latter refine rather than contradict the former.
+struct SccShards {
+  std::vector<ShardMask> self_bit;
+  std::vector<ShardMask> reach;
+};
+SccShards ComputeSccShards(const Program& program,
+                           const AnalysisResult& analysis);
+
 // Stores the inferred modes on the program's predicates (Predicate::modes(),
 // consumed by the WAM specializer, predicate_mode/2 and the runtime
 // soundness oracle), stamped with the program's current clause epoch so
 // consumers can detect staleness after runtime asserts. Also derives the
 // per-call-pattern shard reach masks and the first-argument key masks from
-// `analysis`'s SCC numbering, so it wants the full AnalysisResult (with its
-// `modes` member filled by Analyze).
-void PublishModes(Program* program, const AnalysisResult& analysis);
+// `analysis`'s SCC numbering and `shards` (ComputeSccShards of the same
+// analysis), so it wants the full AnalysisResult (with its `modes` member
+// filled by Analyze).
+void PublishModes(Program* program, const AnalysisResult& analysis,
+                  const SccShards& shards);
 
 // Formats an InstVec as "(ground, free)" for messages and shell output.
 std::string FormatInstVec(const InstVec& vec);

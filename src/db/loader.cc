@@ -1,5 +1,6 @@
 #include "db/loader.h"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -187,11 +188,7 @@ Status Loader::HandleDirective(Word directive) {
   directive = store_->Deref(directive);
   if (IsAtom(directive)) {
     const std::string& name = symbols->AtomName(AtomOf(directive));
-    if (name == "table_all") {
-      table_all_requested_ = true;
-      return Status::Ok();
-    }
-    if (name == "auto_table") {
+    if (name == "auto_table" || name == "table_all") {
       auto_table_requested_ = true;
       return Status::Ok();
     }
@@ -307,7 +304,8 @@ Status Loader::ConsultString(std::string_view text) {
       if (!s.ok()) return s;
       continue;
     }
-    // Track the defined predicate for table_all scoping.
+    // Track the defined predicate: the unit's scope for :- auto_table. and
+    // the cut check.
     Word head = t;
     FunctorId neck2 = symbols->InternFunctor(symbols->neck(), 2);
     if (IsStruct(t) && store_->StructFunctor(t) == neck2) {
@@ -317,14 +315,7 @@ Status Loader::ConsultString(std::string_view text) {
         Program::CallableFunctor(*store_, head);
     if (functor.has_value()) {
       if (defined_.empty() || defined_.back() != *functor) {
-        bool seen = false;
-        for (FunctorId d : defined_) {
-          if (d == *functor) {
-            seen = true;
-            break;
-          }
-        }
-        if (!seen) defined_.push_back(*functor);
+        defined_.push_back(*functor);
       }
       // L001: a named variable (not '_'-prefixed) occurring exactly once.
       // Collected here because variable names do not survive flattening.
@@ -340,30 +331,32 @@ Status Loader::ConsultString(std::string_view text) {
     Status s = program_->AddClauseTerm(*store_, t, /*front=*/false, span);
     if (!s.ok()) return s;
   }
-  if (table_all_requested_) {
-    TableAllAnalysis(program_, defined_);
-    table_all_requested_ = false;
-  }
-  // The section 4.4 static analysis: no cut may close over a table.
-  Status cut = CheckCutSafety(*program_, defined_);
-  if (!cut.ok()) return cut;
+  std::sort(defined_.begin(), defined_.end());
+  defined_.erase(std::unique(defined_.begin(), defined_.end()),
+                 defined_.end());
   return RunAnalysis();
 }
 
 Status Loader::RunAnalysis() {
-  analysis::AnalysisResult result = analysis::Analyze(*program_);
   if (auto_table_requested_) {
     // :- auto_table. applies the advisor's suggestions, restricted to the
     // predicates this consult unit defined; then the analysis re-runs so the
     // published diagnostics describe the final program.
-    analysis::ApplyTableSuggestions(program_, result, defined_);
+    analysis::AnalyzeOptions options;
+    options.structure_only = true;
+    analysis::ApplyTableSuggestions(
+        program_, analysis::Analyze(*program_, options), defined_);
     auto_table_requested_ = false;
-    result = analysis::Analyze(*program_);
   }
-  analysis::PublishVerdict(program_, result);
-  analysis::PublishIncrementalDeps(program_, result);
-  analysis::PublishEvalShards(program_, result);
-  analysis::PublishModes(program_, result);
+  analysis::AnalysisResult result = analysis::AnalyzeAndPublish(program_);
+  // Section 4.4: no cut in this unit's clauses may close over a table.
+  for (const analysis::Diagnostic& diagnostic : result.diagnostics) {
+    if (diagnostic.code == analysis::DiagCode::kCutOverTable &&
+        std::binary_search(defined_.begin(), defined_.end(),
+                           diagnostic.functor)) {
+      return PermissionError(diagnostic.message);
+    }
+  }
   if (strict_) {
     for (const analysis::Diagnostic& diagnostic : result.diagnostics) {
       if (diagnostic.severity == analysis::Severity::kError) {

@@ -14,9 +14,12 @@
 namespace xsb {
 
 // Consults source text into a Program: reads clauses, processes directives
-// (:- table, :- table_all, :- hilog, :- index, :- dynamic, :- incremental,
-// :- module), and asserts everything else. One Loader per consult unit; the
-// paper's `table_all` directive is scoped to the unit it appears in.
+// (:- table, :- auto_table (alias :- table_all), :- hilog, :- index,
+// :- dynamic, :- incremental, :- module), and asserts everything else, then
+// analyzes and publishes the program. One Loader per consult unit: the
+// paper's `table_all` directive (section 4.3) tables only the unit's own
+// predicates on call-graph cycles, and the section 4.4 cut check (S005)
+// refuses only the unit's own clauses.
 class Loader {
  public:
   Loader(TermStore* store, Program* program)
@@ -42,9 +45,6 @@ class Loader {
   Result<size_t> LoadFactsFormattedFile(const std::string& path,
                                         const std::string& name, int arity);
 
-  // Functors defined (given clauses) by this consult unit, in order.
-  const std::vector<FunctorId>& defined() const { return defined_; }
-
  private:
   Status HandleDirective(Word directive);
   // Applies `fn` to each Name/Arity in `spec` (a single spec, a conjunction,
@@ -57,33 +57,18 @@ class Loader {
   Status HandleIndexSpec(Word pred_spec, Word index_spec);
   Status HandleDiscontiguousSpec(Word spec);
   Result<FunctorId> ParsePredSpec(Word spec);  // name/arity
-  // Runs the consult-time analyzer over the program, applies auto_table if
-  // requested, publishes the stratification verdict and diagnostics.
+  // Applies :- auto_table. if requested, then analyzes and publishes the
+  // program; refuses the unit for an S005 in its own clauses, and in strict
+  // mode for any error-severity diagnostic.
   Status RunAnalysis();
 
   TermStore* store_;
   Program* program_;
-  std::vector<FunctorId> defined_;
+  std::vector<FunctorId> defined_;  // sorted once the unit is read
   std::string source_name_;
-  bool table_all_requested_ = false;
   bool auto_table_requested_ = false;
   bool strict_ = false;
 };
-
-// Static cut-safety check (section 4.4): reports an error when a clause
-// body cuts after calling a tabled predicate — the cut could close a
-// partially computed table, so the compiler rejects it.
-Status CheckCutSafety(const Program& program,
-                      const std::vector<FunctorId>& scope);
-
-// The `:- table_all.` analysis (section 4.3): builds the call graph of the
-// in-scope predicates, finds its strongly connected components, and tables
-// every predicate on a cycle, which breaks all loops (favoring simplicity
-// over precision, as the paper does).
-//
-// Returns the functors that were newly tabled.
-std::vector<FunctorId> TableAllAnalysis(Program* program,
-                                        const std::vector<FunctorId>& scope);
 
 }  // namespace xsb
 

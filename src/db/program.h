@@ -279,7 +279,7 @@ class TableUpdateListener {
 };
 
 // The clause database: predicates, HiLog declarations, the operator table,
-// and the per-module bookkeeping used by table_all.
+// and the current module each new predicate is stamped with.
 class Program {
  public:
   explicit Program(SymbolTable* symbols)

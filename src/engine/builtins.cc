@@ -564,25 +564,20 @@ void SplitClausePattern(Machine& m, Word pattern, Word* head, Word* body,
   }
 }
 
-// Erasing a rule shrinks the call graph: shard reach masks and incremental
-// dependency seeds published for the old clause set are now stale (still
-// sound — a shrunken program only satisfies the published upper bounds
-// more — but loose, so every cold call over-acquires shards). Recompute the
-// structural analyses and republish. Erasing a fact needs none of this: a
-// fact adds no call-graph edge, so the published seeds and masks are exactly
-// what a re-analysis would give, and first-argument key masks stay upper
-// bounds. The mode pass is skipped: published call/success modes are
-// likewise upper bounds that erasure can only tighten, and the fixpoint is
-// the expensive part.
+// Erasing a rule shrinks the call graph: the verdict, shard reach masks and
+// incremental dependency seeds published for the old clause set are now
+// stale (still sound — a shrunken program only satisfies the published
+// upper bounds more — but loose, so every cold call over-acquires shards).
+// Recompute the structural analyses and republish. Erasing a fact needs none
+// of this: a fact adds no call-graph edge, so the published seeds and masks
+// are exactly what a re-analysis would give, and first-argument key masks
+// stay upper bounds. The mode pass is skipped: published call/success modes
+// are likewise upper bounds that erasure can only tighten, and the fixpoint
+// is the expensive part.
 void RepublishAfterErasure(Machine& m) {
   analysis::AnalyzeOptions options;
-  options.safety_pass = false;
-  options.advisor_pass = false;
-  options.lint_pass = false;
-  options.mode_pass = false;
-  analysis::AnalysisResult result = analysis::Analyze(*m.program(), options);
-  analysis::PublishIncrementalDeps(m.program(), result);
-  analysis::PublishEvalShards(m.program(), result);
+  options.structure_only = true;
+  analysis::AnalyzeAndPublish(m.program(), options);
 }
 
 BuiltinResult BuiltinRetract(Machine& m, Word goal, const GoalNode*) {
@@ -924,11 +919,7 @@ BuiltinResult BuiltinTableStats(Machine& m, Word goal, const GoalNode*) {
 BuiltinResult BuiltinAnalyze(Machine& m, Word goal, const GoalNode*) {
   TermStore* store = m.store();
   SymbolTable* symbols = store->symbols();
-  analysis::AnalysisResult result = analysis::Analyze(*m.program());
-  analysis::PublishVerdict(m.program(), result);
-  analysis::PublishIncrementalDeps(m.program(), result);
-  analysis::PublishEvalShards(m.program(), result);
-  analysis::PublishModes(m.program(), result);
+  analysis::AnalysisResult result = analysis::AnalyzeAndPublish(m.program());
 
   FunctorId dash = symbols->InternFunctor(symbols->InternAtom("-"), 2);
   FunctorId slash = symbols->InternFunctor(symbols->InternAtom("/"), 2);
@@ -1079,16 +1070,17 @@ Status DeclareIncrementalSpec(Machine& m, Word spec) {
 }
 
 // incremental/1: runtime counterpart of the `:- incremental(p/N)` directive.
-// After declaring, reruns the analyzer so the static dependency seeds given
-// to tables created from here on cover the fresh declarations.
+// After declaring, reruns the structural analysis so the static dependency
+// seeds given to tables created from here on cover the fresh declarations.
 BuiltinResult BuiltinIncremental(Machine& m, Word goal, const GoalNode*) {
   Status status = DeclareIncrementalSpec(m, Arg(m, goal, 0));
   if (!status.ok()) {
     m.SetError(status);
     return BuiltinResult::kError;
   }
-  analysis::AnalysisResult result = analysis::Analyze(*m.program());
-  analysis::PublishIncrementalDeps(m.program(), result);
+  analysis::AnalyzeOptions options;
+  options.structure_only = true;
+  analysis::AnalyzeAndPublish(m.program(), options);
   return BuiltinResult::kTrue;
 }
 

@@ -97,14 +97,7 @@ void Engine::AbolishAllTables() {
 
 analysis::AnalysisResult Engine::Analyze(
     const analysis::AnalyzeOptions& options) {
-  analysis::AnalysisResult result = analysis::Analyze(db_.program, options);
-  analysis::PublishVerdict(&db_.program, result);
-  analysis::PublishIncrementalDeps(&db_.program, result);
-  analysis::PublishEvalShards(&db_.program, result);
-  // Publishing an empty mode set would clear previously published modes,
-  // so skip it when the caller disabled the pass.
-  if (options.mode_pass) analysis::PublishModes(&db_.program, result);
-  return result;
+  return analysis::AnalyzeAndPublish(&db_.program, options);
 }
 
 }  // namespace xsb

@@ -87,7 +87,8 @@ class Engine {
   // --- Analysis ---------------------------------------------------------------
 
   // Runs the consult-time program analyzer on demand (the C++ face of the
-  // analyze/1 builtin) and republishes the stratification verdict.
+  // analyze/1 builtin) and republishes its results, as consult does
+  // (analysis::AnalyzeAndPublish).
   analysis::AnalysisResult Analyze(
       const analysis::AnalyzeOptions& options = analysis::AnalyzeOptions());
 

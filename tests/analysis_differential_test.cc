@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -213,6 +214,57 @@ TEST_P(AnalysisDifferentialTest, WinFamilyDowngradesToWfs) {
       EXPECT_NE(held.status().message().find("S001"), std::string::npos);
     }
     engine.AbolishAllTables();
+  }
+}
+
+// The call graph as an analysis sees it and as AnalyzeAndPublish leaves it
+// on the program: components, edges, verdict, dependency seeds, shard masks.
+std::string StructureOf(Engine& engine,
+                        const analysis::AnalysisResult& result) {
+  std::ostringstream out;
+  out << "stratified " << result.stratified() << " widened "
+      << result.widened << "\n";
+  for (const analysis::SccInfo& scc : result.sccs) {
+    out << "scc";
+    for (FunctorId f : scc.members) out << " " << f;
+    out << " rec " << scc.recursive << " neg " << scc.negative_internal
+        << "\n";
+  }
+  for (const analysis::CallEdge& edge : result.edges) {
+    out << "edge " << edge.from << " " << edge.to << " "
+        << static_cast<int>(edge.kind) << "\n";
+  }
+  for (const auto& pred : engine.program().predicates()) {
+    if (pred == nullptr) continue;
+    out << "pred " << pred->functor() << " shard " << pred->eval_shard()
+        << " mask " << pred->eval_reach_mask() << " seeds";
+    const std::vector<FunctorId>* deps =
+        engine.program().IncrementalDepsOf(pred->functor());
+    if (deps != nullptr) {
+      for (FunctorId f : *deps) out << " " << f;
+    }
+    out << "\n";
+  }
+  return out.str();
+}
+
+// A structure-only analysis, what rule erasure and incremental/1 republish,
+// builds and publishes the same call graph as the full one.
+TEST_P(AnalysisDifferentialTest, StructureOnlyMatchesFullAnalysis) {
+  RandomGraph g = MakeGraph(GetParam());
+  const std::string programs[] = {
+      ":- incremental(edge/2).\n" + StratifiedProgram(g),
+      ":- incremental(move/2).\n" + WinProgram(g),
+      ":- incremental(edge/2).\n" + StratifiedProgram(g) +
+          "meta(G) :- call(G).\nvia(X) :- meta(path(1, X)).\n",
+  };
+  for (const std::string& text : programs) {
+    Engine engine;
+    ASSERT_TRUE(engine.ConsultString(text).ok()) << text;
+    analysis::AnalyzeOptions options;
+    options.structure_only = true;
+    std::string structure_only = StructureOf(engine, engine.Analyze(options));
+    EXPECT_EQ(structure_only, StructureOf(engine, engine.Analyze())) << text;
   }
 }
 

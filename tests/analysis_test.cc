@@ -87,6 +87,75 @@ TEST(AnalyzerScc, VariableGoalWidensTheGraph) {
 
 // --- Stratification (S001) ---------------------------------------------------
 
+// A widened call site reaches every predicate through one hub edge: the
+// components, the verdict and its witness, and the incremental dependency
+// seeds are those that a direct edge to each predicate gives.
+TEST(AnalyzerScc, WidenedCallsKeepComponentsVerdictAndSeeds) {
+  Engine engine;
+  ASSERT_TRUE(engine
+                  .ConsultString(":- dynamic e/1.\n"
+                                 ":- incremental(e/1).\n"
+                                 "leaf(X) :- e(X).\n"
+                                 "mid(X) :- leaf(X).\n"
+                                 "w(G) :- call(G).\n"
+                                 "top(X) :- w(mid(X)).\n"
+                                 "solo :- leaf(1).\n"
+                                 "neg(G) :- \\+ G.\n")
+                  .ok());
+  AnalysisResult result = engine.Analyze();
+  EXPECT_TRUE(result.widened);
+  EXPECT_FALSE(result.stratified());
+  std::vector<std::string> sccs;
+  for (const analysis::SccInfo& scc : result.sccs) {
+    std::string text = scc.recursive ? "rec" : "";
+    for (FunctorId f : scc.members) text += " " + PredName(engine, f);
+    sccs.push_back(text);
+  }
+  EXPECT_EQ(sccs, (std::vector<std::string>{" leaf/1", " mid/1", " solo/0",
+                                            "rec w/1 top/1 neg/1"}));
+  const Diagnostic* s001 = FindCode(result, DiagCode::kNonStratified);
+  ASSERT_NE(s001, nullptr);
+  EXPECT_NE(s001->message.find("{w/1, top/1, neg/1} crosses negation "
+                               "(neg/1 -> w/1)"),
+            std::string::npos)
+      << s001->message;
+  FunctorId e = engine.symbols().InternFunctor(
+      engine.symbols().InternAtom("e"), 1);
+  std::vector<std::string> seeded;
+  for (const char* name : {"leaf", "mid", "w", "top", "neg", "e"}) {
+    FunctorId f = engine.symbols().InternFunctor(
+        engine.symbols().InternAtom(name), 1);
+    const std::vector<FunctorId>* deps = engine.program().IncrementalDepsOf(f);
+    if (deps != nullptr && *deps == std::vector<FunctorId>{e}) {
+      seeded.push_back(name);
+    }
+  }
+  EXPECT_EQ(seeded, (std::vector<std::string>{"leaf", "mid", "w", "top",
+                                              "neg", "e"}));
+  FunctorId solo = engine.symbols().InternFunctor(
+      engine.symbols().InternAtom("solo"), 0);
+  ASSERT_NE(engine.program().IncrementalDepsOf(solo), nullptr);
+  EXPECT_EQ(*engine.program().IncrementalDepsOf(solo),
+            std::vector<FunctorId>{e});
+}
+
+TEST(AnalyzerScc, WidenedCallSitesAddLinearlyManyEdges) {
+  constexpr size_t kClauses = 20000;
+  std::string text;
+  for (size_t i = 0; i < kClauses; ++i) {
+    text += "m" + std::to_string(i) + "(G) :- call(G).\n";
+  }
+  Engine engine;
+  ASSERT_TRUE(engine.ConsultString(text).ok());
+  AnalysisResult result = engine.Analyze();
+  EXPECT_TRUE(result.widened);
+  EXPECT_LE(result.edges.size(), 3 * kClauses);
+  // Every caller widens, so all of them share one recursive component.
+  ASSERT_EQ(result.sccs.size(), 1u);
+  EXPECT_EQ(result.sccs[0].members.size(), kClauses);
+  EXPECT_TRUE(result.sccs[0].recursive);
+}
+
 TEST(AnalyzerStratification, NegationInsideSccIsDiagnosedAtConsultTime) {
   Engine engine;
   // No query runs: the diagnostic must appear from ConsultString alone.
@@ -207,6 +276,37 @@ TEST(AnalyzerSafety, ArithmeticOverUnboundVariable) {
   Engine clean;
   ASSERT_TRUE(clean.ConsultString("f(X, Y) :- Y is X + 1.\n").ok());
   EXPECT_EQ(FindCode(clean.Analyze(), DiagCode::kUnsafeArith), nullptr);
+}
+
+// Section 4.4: a cut after a tabled call on the clause body's own spine.
+// The clause is accepted while p/1 is untabled; the later unit that tables
+// p/1 does not define bad/1, so it is not refused for bad/1's cut.
+constexpr char kCutUnit[] = "p(1).\nbad(X) :- p(X), !.\n";
+constexpr char kTableUnit[] = ":- table p/1.\n";
+
+TEST(AnalyzerSafety, LaterTableDoesNotRefuseTheLaterUnit) {
+  Engine engine;
+  ASSERT_TRUE(engine.ConsultString(kCutUnit).ok());
+  Status s = engine.ConsultString(kTableUnit);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_TRUE(engine.Holds("bad(1)").value());
+}
+
+TEST(AnalyzerSafety, CutAfterTabledCallIsListedAsS005) {
+  Engine engine;
+  ASSERT_TRUE(engine.ConsultString(kCutUnit).ok());
+  EXPECT_EQ(FindCode(engine.Analyze(), DiagCode::kCutOverTable), nullptr);
+  ASSERT_TRUE(engine.ConsultString(kTableUnit).ok());
+  Result<std::vector<Answer>> answers = engine.FindAll("analyze(R)");
+  ASSERT_TRUE(answers.ok());
+  ASSERT_EQ(answers.value().size(), 1u);
+  const std::string& report = answers.value()[0]["R"];
+  EXPECT_NE(report.find("diag('S005',error,bad / 1,'a cut would close over "
+                        "a partially computed table"),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find("span('<consult-1>',2,1)"), std::string::npos)
+      << report;
 }
 
 // --- Advisors (A001, A002) ---------------------------------------------------

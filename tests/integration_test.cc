@@ -149,5 +149,28 @@ TEST(Integration, ModuleScopedTableAll) {
   EXPECT_EQ(engine.Count("tc(1, X)").value(), 2u);  // cycle terminates
 }
 
+TEST(Integration, TableAllOverLargeCycle) {
+  // p0(X) :- p1(X). ... p199999(X) :- p0(X), plus p0(1): one component of
+  // 200 000 predicates, every one of which :- table_all. must table.
+  constexpr int kPreds = 200000;
+  std::string text = ":- table_all.\np0(1).\n";
+  for (int i = 0; i < kPreds; ++i) {
+    text += "p" + std::to_string(i) + "(X) :- p" +
+            std::to_string((i + 1) % kPreds) + "(X).\n";
+  }
+  Engine engine;
+  ASSERT_TRUE(engine.ConsultString(text).ok());
+  for (int i = 0; i < kPreds; ++i) {
+    Predicate* pred = engine.program().Lookup(engine.symbols().InternFunctor(
+        engine.symbols().InternAtom("p" + std::to_string(i)), 1));
+    ASSERT_NE(pred, nullptr);
+    ASSERT_TRUE(pred->tabled()) << "p" << i;
+  }
+  Result<std::vector<Answer>> answers = engine.FindAll("p5(X)");
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+  ASSERT_EQ(answers.value().size(), 1u);
+  EXPECT_EQ(answers.value()[0]["X"], "1");
+}
+
 }  // namespace
 }  // namespace xsb
