@@ -582,7 +582,6 @@ void RepublishAfterErasure(Machine& m) {
 
 BuiltinResult BuiltinRetract(Machine& m, Word goal, const GoalNode*) {
   TermStore* store = m.store();
-  SymbolTable* symbols = store->symbols();
   Word head, body;
   bool body_given;
   SplitClausePattern(m, Arg(m, goal, 0), &head, &body, &body_given);
@@ -598,17 +597,9 @@ BuiltinResult BuiltinRetract(Machine& m, Word goal, const GoalNode*) {
     if (clause.erased) continue;
     size_t trail = store->TrailMark();
     size_t heap = store->HeapMark();
-    Word inst = Unflatten(store, clause.term);
-    Word chead = inst;
-    Word cbody = AtomCell(symbols->truth());
-    if (clause.is_rule) {
-      Word d = store->Deref(inst);
-      chead = store->Arg(d, 0);
-      cbody = store->Arg(d, 1);
-    }
     // A bare pattern retracts clauses whose body is `true` (facts); a
     // (H :- B) pattern matches against the stored body.
-    if (store->Unify(head, chead) && store->Unify(body, cbody)) {
+    if (m.MatchClause(clause, head, body)) {
       bool rule = clause.is_rule;
       pred->EraseClause(id);
       if (pred->incremental()) m.program()->NotifyIncrementalUpdate(*functor);
@@ -638,10 +629,7 @@ BuiltinResult BuiltinRetractAll(Machine& m, Word goal, const GoalNode*) {
     if (clause.erased) continue;
     size_t trail = store->TrailMark();
     size_t heap = store->HeapMark();
-    Word inst = Unflatten(store, clause.term);
-    Word chead = inst;
-    if (clause.is_rule) chead = store->Arg(store->Deref(inst), 0);
-    if (store->Unify(head, chead)) {
+    if (m.MatchClause(clause, head, /*body=*/kNoVar)) {
       pred->EraseClause(id);
       erased_any = true;
       erased_rule |= clause.is_rule;
@@ -793,15 +781,14 @@ BuiltinResult BuiltinAtomConcat(Machine& m, Word goal, const GoalNode*) {
   return BuiltinResult::kError;
 }
 
-// clause/2: enumerates clauses of a predicate (deterministic first match is
-// not enough — push pending alternatives through the machine is complex, so
-// clause/2 here is implemented with findall-style collection semantics via
-// the machine's answer choice point: we materialize matching clause bodies).
+// clause/2: enumerates the clauses of a predicate whose head unifies with
+// Head and whose body (`true` for a fact) unifies with Body. It reads them
+// the way a call to Head would: through the clause choice point of a call
+// (logical update view, retracted clauses skipped, a cut after it prunes
+// the rest), and a table computed over it depends on them.
 BuiltinResult BuiltinClause(Machine& m, Word goal, const GoalNode* node) {
   TermStore* store = m.store();
-  SymbolTable* symbols = store->symbols();
   Word head = Arg(m, goal, 0);
-  Word body = Arg(m, goal, 1);
   std::optional<FunctorId> functor = Program::CallableFunctor(*store, head);
   if (!functor.has_value()) {
     m.SetError(InstantiationError("clause/2: head must be callable"));
@@ -809,41 +796,8 @@ BuiltinResult BuiltinClause(Machine& m, Word goal, const GoalNode* node) {
   }
   Predicate* pred = m.program()->Lookup(*functor);
   if (pred == nullptr) return BuiltinResult::kFail;
-  // Materialize (Head :- Body) instances that match, then enumerate them
-  // through an answer choice point over a machine-adopted AnswerSource.
-  std::vector<FlatTerm> instances;
-  FlatTerm instance_scratch;
-  FunctorId neck = symbols->InternFunctor(symbols->neck(), 2);
-  Word pair_pattern = store->MakeStruct(neck, {head, body});
-  for (ClauseId id : pred->Candidates(*store, head)) {
-    const Clause& clause = pred->clause(id);
-    if (clause.erased) continue;
-    size_t trail = store->TrailMark();
-    size_t heap = store->HeapMark();
-    Word inst = Unflatten(store, clause.term);
-    Word chead = inst;
-    Word cbody = AtomCell(symbols->truth());
-    if (clause.is_rule) {
-      Word d = store->Deref(inst);
-      chead = store->Arg(d, 0);
-      cbody = store->Arg(d, 1);
-    }
-    Word cpair = store->MakeStruct(neck, {chead, cbody});
-    if (store->Unify(pair_pattern, cpair)) {
-      // Flatten into the reused scratch, then store an exact-size copy: no
-      // growth reallocations once the scratch is warm.
-      if (FlattenInto(*store, pair_pattern, &instance_scratch)) {
-        ++m.stats().findall_flatten_reuses;
-      }
-      instances.push_back(instance_scratch);
-    }
-    store->UndoTrail(trail);
-    store->TruncateHeap(heap);
-  }
-  if (instances.empty()) return BuiltinResult::kFail;
-  const AnswerSource* source = m.AdoptAnswerSource(
-      std::make_unique<VectorAnswerSource>(std::move(instances)));
-  m.PushAnswerChoices(pair_pattern, source, node->next);
+  m.NoteClauseRead(*pred, *functor);
+  m.PushClauseChoices(pred, head, Arg(m, goal, 1), node->next);
   return BuiltinResult::kFail;  // enter the choice point
 }
 

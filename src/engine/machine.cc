@@ -1,6 +1,7 @@
 #include "engine/machine.h"
 
 #include "engine/builtins.h"
+#include "tabling/table_space.h"
 
 namespace xsb {
 
@@ -29,6 +30,7 @@ Machine::Machine(TermStore* store, Program* program)
   f_findall_ = f("findall", 3);
   f_resolve_clauses_ = f("$resolve_clauses", 1);
   fail_goal_ = AtomCell(symbols->InternAtom("fail"));
+  true_atom_ = AtomCell(symbols->truth());
 }
 
 Machine::~Machine() = default;
@@ -46,42 +48,54 @@ void Machine::CutTo(size_t depth) {
   if (cps_.size() > depth) cps_.resize(depth);
 }
 
-void Machine::PushAnswerChoices(Word goal, const AnswerSource* answers,
+bool Machine::PushAnswerChoices(Word goal, const AnswerTable* table,
                                 const GoalNode* cont) {
+  // Unify the call template against the goal once, here, *before* capturing
+  // the choice point's marks. The goal is a variant of the template (that
+  // is how the table was found), so this only hands each template variable
+  // the goal subterm it meets; those are parked in consecutive heap cells
+  // below the marks, where per-answer backtracking keeps them. Each answer
+  // then needs only its bindings unified — the ground call skeleton is
+  // never decoded again.
+  const FlatTerm& tmpl = table->call_template();
+  size_t trail_mark = store_->TrailMark();
+  size_t heap_mark = store_->HeapMark();
+  template_scratch_.assign(tmpl.num_vars, kNoVar);
+  size_t pos = 0;
+  if (!UnifyTokens(store_, nullptr, tmpl.cells.data(), &pos, goal,
+                   &template_scratch_)) {
+    store_->UndoTrail(trail_mark);
+    store_->TruncateHeap(heap_mark);
+    return false;
+  }
   ChoicePoint cp;
   cp.kind = ChoiceKind::kAnswers;
+  cp.cont = cont;
+  cp.goal = goal;
+  cp.table = table;
+  cp.template_vars = store_->HeapMark();
+  for (Word v : template_scratch_) {
+    Word cell = store_->MakeVar();
+    if (v != kNoVar) store_->At(PayloadOf(cell)) = v;
+  }
+  cp.trail_mark = store_->TrailMark();
+  cp.heap_mark = store_->HeapMark();
+  cps_.push_back(std::move(cp));
+  ++stats_.choice_points;
+  return true;
+}
+
+void Machine::PushClauseChoices(Predicate* pred, Word goal, Word body,
+                                const GoalNode* cont) {
+  ChoicePoint cp;
+  cp.kind = ChoiceKind::kClauses;
   cp.cont = cont;
   cp.trail_mark = store_->TrailMark();
   cp.heap_mark = store_->HeapMark();
   cp.goal = goal;
-  cp.answers = answers;
-  const FlatTerm* tmpl = answers->answer_template();
-  if (tmpl != nullptr) {
-    // Substitution-factored source: unify the call template against the
-    // goal once, here, *before* capturing the choice point's marks. The
-    // goal is a variant of the template (that is how the table was found),
-    // so this only hands each template variable the goal subterm it meets;
-    // those are parked in consecutive heap cells below the marks, where
-    // per-answer backtracking keeps them. Each answer then needs only its
-    // bindings unified — the ground call skeleton is never decoded again.
-    template_scratch_.assign(tmpl->num_vars, kNoVar);
-    size_t pos = 0;
-    if (UnifyTokens(store_, nullptr, tmpl->cells.data(), &pos, goal,
-                    &template_scratch_)) {
-      cp.factored = true;
-      cp.template_vars = store_->HeapMark();
-      for (Word v : template_scratch_) {
-        Word cell = store_->MakeVar();
-        if (v != kNoVar) store_->At(PayloadOf(cell)) = v;
-      }
-      cp.trail_mark = store_->TrailMark();
-      cp.heap_mark = store_->HeapMark();
-    } else {
-      // Cannot happen for variant calls; fall back to full answer reads.
-      store_->UndoTrail(cp.trail_mark);
-      store_->TruncateHeap(cp.heap_mark);
-    }
-  }
+  cp.pred = pred;
+  cp.candidates = pred->Candidates(*store_, goal);
+  cp.body = body;
   cps_.push_back(std::move(cp));
   ++stats_.choice_points;
 }
@@ -108,26 +122,40 @@ void Machine::PushPendingGoalOpaqueCut(Word goal) {
   pending_goals_.emplace_back(goal, true);
 }
 
-bool Machine::TryClause(Predicate* pred, ClauseId id, Word goal,
-                        const GoalNode* cont, uint32_t entry_depth,
-                        const GoalNode** new_goals) {
-  const Clause& clause = pred->clause(id);
-  ++stats_.head_unifications;
-  // The head is unified in place: goal subterms meet clause variables
-  // without a copy, and only what the goal leaves unbound is built. The
-  // body, which follows the head in the stored clause, is built only once
-  // the head has matched.
-  const Word* cells = clause.term.cells.data();
+bool Machine::UnifyHead(const Clause& clause, Word head, size_t* pos) {
   clause_vars_.assign(clause.term.num_vars, kNoVar);
-  size_t pos = clause.head_pos;
-  if (!UnifyTokens(store_, nullptr, cells, &pos, goal, &clause_vars_)) {
-    return false;
+  *pos = clause.head_pos;
+  return UnifyTokens(store_, nullptr, clause.term.cells.data(), pos, head,
+                     &clause_vars_);
+}
+
+bool Machine::MatchClause(const Clause& clause, Word head, Word body) {
+  size_t pos;
+  if (!UnifyHead(clause, head, &pos)) return false;
+  if (body == kNoVar) return true;
+  if (!clause.is_rule) return store_->Unify(body, true_atom_);
+  // The body follows the head in the stored clause.
+  return UnifyTokens(store_, nullptr, clause.term.cells.data(), &pos, body,
+                     &clause_vars_);
+}
+
+bool Machine::TryClause(const ChoicePoint& cp, const Clause& clause,
+                        uint32_t entry_depth, const GoalNode** new_goals) {
+  if (cp.body != kNoVar) {  // clause/2
+    if (!MatchClause(clause, cp.goal, cp.body)) return false;
+    *new_goals = cp.cont;
+    return true;
   }
+  ++stats_.head_unifications;
+  // The body is built only once the head has matched.
+  size_t pos;
+  if (!UnifyHead(clause, cp.goal, &pos)) return false;
   if (!clause.is_rule) {
-    *new_goals = cont;
+    *new_goals = cp.cont;
   } else {
-    Word body = BuildTokens(store_, nullptr, cells, &pos, &clause_vars_);
-    *new_goals = Cons(body, cont, entry_depth);
+    Word body = BuildTokens(store_, nullptr, clause.term.cells.data(), &pos,
+                            &clause_vars_);
+    *new_goals = Cons(body, cp.cont, entry_depth);
   }
   return true;
 }
@@ -141,11 +169,10 @@ bool Machine::Backtrack(size_t base_cp, const GoalNode** goals) {
       case ChoiceKind::kClauses: {
         uint32_t entry_depth = static_cast<uint32_t>(cps_.size() - 1);
         while (cp.next_candidate < cp.candidates.size()) {
-          ClauseId id = cp.candidates[cp.next_candidate++];
-          if (cp.pred->clause(id).erased) continue;
-          if (TryClause(cp.pred, id, cp.goal, cp.cont, entry_depth, goals)) {
-            return true;
-          }
+          const Clause& clause =
+              cp.pred->clause(cp.candidates[cp.next_candidate++]);
+          if (clause.erased) continue;
+          if (TryClause(cp, clause, entry_depth, goals)) return true;
           store_->UndoTrail(cp.trail_mark);
           store_->TruncateHeap(cp.heap_mark);
         }
@@ -188,28 +215,21 @@ bool Machine::Backtrack(size_t base_cp, const GoalNode** goals) {
 }
 
 bool Machine::NextAnswer(ChoicePoint& cp) {
-  while (cp.next_answer < cp.answers->size()) {
+  while (cp.next_answer < cp.table->size()) {
     // Answer subsumption: an answer retired by a better one is skipped, not
     // returned. The cursor itself stays valid.
-    if (!cp.answers->live(cp.next_answer)) {
+    if (!cp.table->live(cp.next_answer)) {
       ++cp.next_answer;
       continue;
     }
     if (cp.deliver != nullptr && !(*cp.deliver)()) break;
     size_t i = cp.next_answer++;
     if (cp.cursor != nullptr) *cp.cursor = cp.next_answer;
-    if (cp.factored) {
-      // Factored return: the source unifies each template variable with its
-      // binding straight from the stored answer.
-      if (cp.answers->UnifyBindings(i, store_, cp.template_vars)) {
-        ++stats_.factored_answer_returns;
-        return true;
-      }
-    } else {
-      cp.answers->ReadAnswer(i, &answer_scratch_);
-      if (store_->Unify(cp.goal, Unflatten(store_, answer_scratch_))) {
-        return true;
-      }
+    // Factored return: each template variable is unified with its binding
+    // straight from the stored answer.
+    if (cp.table->UnifyBindings(i, store_, cp.template_vars)) {
+      ++stats_.factored_answer_returns;
+      return true;
     }
     store_->UndoTrail(cp.trail_mark);
     store_->TruncateHeap(cp.heap_mark);
@@ -272,9 +292,7 @@ Machine::StepResult Machine::CallUserPredicate(Word goal, FunctorId functor,
   // tabling evaluator's own $resolve_clauses episodes): tell the table
   // maintenance subsystem when the predicate is incremental, so the table
   // being computed records its dependency on these clauses.
-  if (pred != nullptr && pred->incremental() && handler_ != nullptr) {
-    handler_->OnIncrementalAccess(functor);
-  }
+  if (pred != nullptr) NoteClauseRead(*pred, functor);
 
   SymbolTable* symbols = store_->symbols();
   if (pred == nullptr || pred->num_live_clauses() == 0) {
@@ -300,16 +318,7 @@ Machine::StepResult Machine::CallUserPredicate(Word goal, FunctorId functor,
     return StepResult::kBacktrack;  // declared but currently empty: fail
   }
 
-  ChoicePoint cp;
-  cp.kind = ChoiceKind::kClauses;
-  cp.cont = cont;
-  cp.trail_mark = store_->TrailMark();
-  cp.heap_mark = store_->HeapMark();
-  cp.goal = goal;
-  cp.pred = pred;
-  cp.candidates = pred->Candidates(*store_, goal);
-  cps_.push_back(std::move(cp));
-  ++stats_.choice_points;
+  PushClauseChoices(pred, goal, /*body=*/kNoVar, cont);
   return StepResult::kBacktrack;  // enter the new choice point
 }
 
@@ -536,11 +545,14 @@ Status Machine::Run(const GoalNode* goals, const SolutionFn& on_solution) {
   return RunFrom(cps_.size(), goals, on_solution);
 }
 
-Status Machine::RunAnswers(Word goal, const AnswerSource* answers,
+Status Machine::RunAnswers(Word goal, const AnswerTable* table,
                            size_t* cursor, const GoalNode* cont,
                            const std::function<bool()>& deliver) {
   size_t base_cp = cps_.size();
-  PushAnswerChoices(goal, answers, cont);
+  if (!PushAnswerChoices(goal, table, cont)) {
+    *cursor = table->size();  // no answer can unify with `goal`
+    return Status::Ok();
+  }
   ChoicePoint& cp = cps_.back();
   cp.next_answer = *cursor;
   cp.cursor = cursor;

@@ -8,7 +8,6 @@
 
 #include "base/status.h"
 #include "db/program.h"
-#include "engine/answer_source.h"
 #include "term/flat.h"
 #include "term/store.h"
 
@@ -16,6 +15,7 @@ namespace xsb {
 
 class Machine;
 class BuiltinRegistry;
+class AnswerTable;
 
 // Resolvent node: an immutable cons cell in the machine's goal arena.
 // `cut_depth` is the choice-point-stack height a '!' in this goal cuts back
@@ -124,8 +124,8 @@ struct MachineStats {
   uint64_t choice_points = 0;
   uint64_t head_unifications = 0;
   uint64_t counted_calls = 0;  // calls to the counted functor, if set
-  // findall/tfindall/clause instance collections that flattened into the
-  // reused scratch without allocating (the steady state after warm-up).
+  // findall/tfindall instance collections that flattened into the reused
+  // scratch without allocating (the steady state after warm-up).
   uint64_t findall_flatten_reuses = 0;
   // Answers delivered through the substitution-factored choice-point path
   // (template unified once, only bindings unified per answer).
@@ -188,26 +188,55 @@ class Machine {
   // (used by existential negation to abandon a batch).
   void RequestStop() { stop_requested_ = true; }
 
-  // Pushes a choice point that enumerates stored answers against `goal`.
-  // Used by the tabling evaluator for completed tables (the source is the
-  // answer table, read straight from its trie) and by clause/2. The machine
-  // enters the choice point when the caller returns a fail-like outcome.
-  void PushAnswerChoices(Word goal, const AnswerSource* answers,
+  // Pushes a choice point that returns the answers of a tabled call's
+  // table against `goal`, a variant of the table's call: the call template
+  // is unified with `goal` once, and each answer then unifies only its
+  // bindings, read straight from the answer trie. Returns false, pushing
+  // nothing, when the template does not unify with `goal`: then no answer
+  // could. The machine enters the choice point when the caller returns a
+  // fail-like outcome.
+  bool PushAnswerChoices(Word goal, const AnswerTable* table,
                          const GoalNode* cont);
 
-  // Runs `cont` once per stored answer of `answers`, starting at *cursor:
-  // the answer choice point of PushAnswerChoices (factored when the source
-  // is), entered at the cursor, with every answer read written back to
-  // *cursor at once — a RequestStop mid-continuation leaves it exact.
-  // Answers stored while the run is in progress are picked up too.
-  // `deliver` is consulted before each live answer; returning false ends
-  // the run with *cursor on that answer. Solutions of `cont` are ignored.
-  // The goals of `cont` should carry cut depth choice_point_count() + 1,
-  // above the answer choice point, so a '!' prunes one answer's
-  // alternatives and never the cursor.
-  Status RunAnswers(Word goal, const AnswerSource* answers, size_t* cursor,
+  // Runs `cont` once per answer of `table`, starting at *cursor: the answer
+  // choice point of PushAnswerChoices, entered at the cursor, with every
+  // answer read written back to *cursor at once — a RequestStop
+  // mid-continuation leaves it exact. Answers stored while the run is in
+  // progress are picked up too. `deliver` is consulted before each live
+  // answer; returning false ends the run with *cursor on that answer.
+  // Solutions of `cont` are ignored. The goals of `cont` should carry cut
+  // depth choice_point_count() + 1, above the answer choice point, so a '!'
+  // prunes one answer's alternatives and never the cursor.
+  Status RunAnswers(Word goal, const AnswerTable* table, size_t* cursor,
                     const GoalNode* cont,
                     const std::function<bool()>& deliver);
+
+  // Pushes the clause choice point of a call to `pred`, which tries the
+  // clauses `pred` had when it was pushed, in order, skipping retracted
+  // ones. With `body` kNoVar it resolves `goal`: each matching clause's body
+  // runs before `cont`. Otherwise it enumerates clause(goal, body): each
+  // clause whose head unifies with `goal` and whose body (`true` for a
+  // fact) unifies with `body` continues with `cont`. The machine enters the
+  // choice point when the caller returns a fail-like outcome.
+  void PushClauseChoices(Predicate* pred, Word goal, Word body,
+                         const GoalNode* cont);
+
+  // Records, for an incremental `pred`, that the table being computed (if
+  // any) reads its clauses, so an update to them invalidates that table.
+  // A call and clause/2 both report their reads here.
+  void NoteClauseRead(const Predicate& pred, FunctorId functor) {
+    if (pred.incremental() && handler_ != nullptr) {
+      handler_->OnIncrementalAccess(functor);
+    }
+  }
+
+  // Unifies stored `clause` with the heap term `head` and, unless `body` is
+  // kNoVar, its body (`true` for a fact) with `body`. The match is made in
+  // place on the stored tokens: clause variables meet heap subterms without
+  // a copy, and only what the heap terms leave unbound is built. Bindings
+  // are trailed; on failure the caller undoes them. clause/2, retract/1 and
+  // retractall/1 match here; a call unifies the head the same way.
+  bool MatchClause(const Clause& clause, Word head, Word body);
 
   // Pushes a choice point enumerating integers low..high into `var`
   // (between/3). Enter by returning a fail-like outcome.
@@ -230,27 +259,17 @@ class Machine {
   // Discards choice points above `depth` (the cut operation).
   void CutTo(size_t depth);
 
-  // Empties the goal arena, keeping its chunks for the next query, and frees
-  // the adopted answer sources; only call between top-level queries.
+  // Empties the goal arena, keeping its chunks for the next query; only
+  // call between top-level queries.
   void ResetArena() {
     arena_chunks_in_use_ = 0;
     arena_used_ = kGoalChunk;
-    adopted_sources_.clear();
   }
-  // Both are 0 between top-level queries of a Session.
+  // 0 between top-level queries of a Session.
   size_t arena_size() const {
     return arena_chunks_in_use_ == 0
                ? 0
                : (arena_chunks_in_use_ - 1) * kGoalChunk + arena_used_;
-  }
-  size_t adopted_source_count() const { return adopted_sources_.size(); }
-
-  // Takes ownership of a materialized answer source referenced by an
-  // answer choice point (clause/2); freed by the next ResetArena. Returns
-  // the adopted pointer for use in PushAnswerChoices.
-  const AnswerSource* AdoptAnswerSource(std::unique_ptr<AnswerSource> source) {
-    adopted_sources_.push_back(std::move(source));
-    return adopted_sources_.back().get();
   }
 
   MachineStats& stats() { return stats_; }
@@ -278,22 +297,22 @@ class Machine {
     Predicate* pred = nullptr;
     CandidateView candidates;
     size_t next_candidate = 0;
+    Word body = kNoVar;  // clause/2's body argument; kNoVar for a call
     // kDisjunction
     Word alternative = 0;
     // kAnswers
-    const AnswerSource* answers = nullptr;
+    const AnswerTable* table = nullptr;
     size_t next_answer = 0;
     // RunAnswers only: where next_answer is written back, and the gate
     // consulted before each live answer.
     size_t* cursor = nullptr;
     const std::function<bool()>* deliver = nullptr;
-    // kAnswers, factored mode: heap address of the first of the cells that
-    // hold, per template variable, the goal subterm it aliases (template
-    // unified with `goal` once, at push time, before this choice point's
-    // marks — so per-answer backtracking keeps the aliasing and only undoes
-    // the binding unifications).
+    // kAnswers: heap address of the first of the cells that hold, per
+    // template variable, the goal subterm it aliases (template unified with
+    // `goal` once, at push time, before this choice point's marks — so
+    // per-answer backtracking keeps the aliasing and only undoes the binding
+    // unifications).
     uint64_t template_vars = 0;
-    bool factored = false;
     // kBetween
     int64_t next_value = 0;
     int64_t max_value = 0;
@@ -327,12 +346,15 @@ class Machine {
   // SymbolTable::kNoFunctor for an atom whose name/0 was never interned,
   // which names no control construct, builtin or predicate.
   FunctorId GoalFunctor(Word goal) const;
-  // Unifies the head of clause `id` of `pred` with `goal` straight from the
-  // stored clause, then builds its body. On success sets *new_goals to the
-  // clause body resolvent.
-  bool TryClause(Predicate* pred, ClauseId id, Word goal,
-                 const GoalNode* cont, uint32_t entry_depth,
-                 const GoalNode** new_goals);
+  // Unifies the head of `clause` with `head` (see MatchClause), leaving
+  // *pos just past the head: at the body of a rule.
+  bool UnifyHead(const Clause& clause, Word head, size_t* pos);
+  // Tries `clause` for clause choice point `cp`, the top one. For a call,
+  // unifies the clause head with the goal, then builds the body: *new_goals
+  // becomes the clause body resolvent. For clause/2, matches head and body
+  // (MatchClause): *new_goals becomes the continuation.
+  bool TryClause(const ChoicePoint& cp, const Clause& clause,
+                 uint32_t entry_depth, const GoalNode** new_goals);
 
   TermStore* store_;
   Program* program_;
@@ -351,16 +373,14 @@ class Machine {
   std::vector<std::unique_ptr<GoalNode[]>> goal_chunks_;
   size_t arena_chunks_in_use_ = 0;
   size_t arena_used_ = kGoalChunk;  // nodes taken in the current chunk
-  std::vector<std::unique_ptr<AnswerSource>> adopted_sources_;
   std::vector<ChoicePoint> cps_;
-  FlatTerm answer_scratch_;  // reused by the answer-choice backtracker
   std::vector<Word> template_scratch_;  // PushAnswerChoices' template vars
   FlatTerm findall_scratch_;  // reused by FindAll's per-solution flatten
   Status error_;
   bool stop_requested_ = false;
 
   std::vector<std::pair<Word, bool>> pending_goals_;  // goal, opaque_cut
-  std::vector<Word> clause_vars_;  // TryClause's clause-variable terms
+  std::vector<Word> clause_vars_;  // UnifyHead's clause-variable terms
 
   MachineStats stats_;
   uint64_t goals_dispatched_ = 0;
@@ -369,6 +389,7 @@ class Machine {
 
   // Interned ids used by the dispatcher.
   Word fail_goal_;  // the atom fail, the else branch of a bare '->'
+  Word true_atom_;  // the body of a fact, to clause/2 and retract/1
   FunctorId f_comma_, f_semicolon_, f_arrow_, f_naf_, f_cut_, f_tcut_,
       f_true_, f_fail_, f_false_, f_ite_commit_, f_tabled_answer_, f_tnot_,
       f_e_tnot_, f_tfindall_, f_findall_, f_resolve_clauses_;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "db/index.h"
-
 namespace xsb {
 
 AnswerTrie::ReadScratch& AnswerTrie::Scratch() {
@@ -96,42 +94,6 @@ bool AnswerTrie::UnifyBindings(size_t i, TermStore* store,
   return true;
 }
 
-void AnswerTrie::ReadAnswer(size_t i, FlatTerm* out) const {
-  ReadScratch& scratch = Scratch();
-  LeafPath(i, &scratch.path);
-  scratch.expand.clear();
-  for (Word token : scratch.path) {
-    interns_->AppendExpansion(token, &scratch.expand);
-  }
-  out->cells.clear();
-  out->num_vars = leaves_[i].num_vars;
-  // Splice binding segments back into the template. First occurrences of
-  // template variables appear in ordinal order, so segment starts are
-  // discovered left to right; repeated occurrences re-splice their segment,
-  // reproducing exactly the canonical flatten of the full instance.
-  const SymbolTable& symbols = interns_->symbols();
-  scratch.seg.clear();  // per-ordinal segment start
-  size_t next_seg = 0;
-  for (Word tc : template_.cells) {
-    if (!IsLocal(tc)) {
-      out->cells.push_back(tc);
-      continue;
-    }
-    uint64_t ord = PayloadOf(tc);
-    size_t s;
-    if (ord == scratch.seg.size()) {
-      s = next_seg;
-      scratch.seg.push_back(s);
-      next_seg = SkipFlatSubterm(symbols, scratch.expand, s);
-    } else {
-      s = scratch.seg[ord];
-    }
-    size_t e = SkipFlatSubterm(symbols, scratch.expand, s);
-    out->cells.insert(out->cells.end(), scratch.expand.begin() + s,
-                      scratch.expand.begin() + e);
-  }
-}
-
 void AnswerTrie::Clear() {
   trie_.Clear();
   leaves_.Clear();
@@ -221,10 +183,6 @@ AnswerInsert AnswerTable::InsertSubsumptive(const TermStore& store,
   entry.best = value;
   entry.live_index = index;
   return created ? AnswerInsert::kNew : AnswerInsert::kReplaced;
-}
-
-void AnswerTable::ReadAnswer(size_t i, FlatTerm* out) const {
-  trie_.ReadAnswer(i, out);
 }
 
 void AnswerTable::Clear() {

@@ -14,7 +14,6 @@
 #include "base/concurrent.h"
 #include "db/program.h"
 #include "db/token_trie.h"
-#include "engine/answer_source.h"
 #include "tabling/call_trie.h"
 #include "tabling/epoch.h"
 #include "term/flat.h"
@@ -58,8 +57,8 @@ enum class AnswerInsert : uint8_t {
 // and then steps down the trie, so a duplicate allocates nothing; the
 // factored return (UnifyBindings) unifies the consumer's template variables
 // straight from the leaf's token path (UnifyTokens), building heap structure
-// only where a consumer variable is unbound. ReadAnswer splices a full
-// instance for callers that need one.
+// only where a consumer variable is unbound. No full instance is ever
+// rebuilt.
 //
 // Concurrency: Insert runs only from the evaluation batch that owns the
 // subgoal's shard (answers are only added to incomplete tables, and shard
@@ -96,10 +95,6 @@ class AnswerTrie {
   bool leaf_live(size_t i) const {
     return leaves_[i].retired.load(std::memory_order_acquire) == 0;
   }
-
-  // Reconstructs full answer `i` (insertion order) by splicing its binding
-  // segments into the call template, reusing out's buffers.
-  void ReadAnswer(size_t i, FlatTerm* out) const;
 
   // Unifies answer `i`'s binding of template variable k with the heap cell
   // template_vars + k, for every k in ordinal order; false at the first
@@ -138,8 +133,6 @@ class AnswerTrie {
   // table must not share buffers.
   struct ReadScratch {
     std::vector<Word> path;
-    std::vector<Word> expand;
-    std::vector<size_t> seg;
     std::vector<Word> vars;
   };
   static ReadScratch& Scratch();
@@ -163,8 +156,12 @@ class AnswerTrie {
 };
 
 // The answers of one tabled subgoal, kept only as factored binding paths in
-// an AnswerTrie, plus the lattice bookkeeping of answer subsumption.
-class AnswerTable : public AnswerSource {
+// an AnswerTrie, plus the lattice bookkeeping of answer subsumption. The
+// machine's answer choice points (and the SLG evaluator's consumers)
+// enumerate it by index: index order is insertion order and indices stay
+// valid while the table grows, so a cursor is just a size_t — this is what
+// lets consumers pick up answers that arrive after they suspended.
+class AnswerTable {
  public:
   // `spec` (copied) enables answer subsumption when it has an aggregated
   // argument; the default spec is plain tabling.
@@ -183,13 +180,12 @@ class AnswerTable : public AnswerSource {
   AnswerInsert Insert(const TermStore& store, Word instance,
                       size_t* saved_cells);
 
-  // AnswerSource: enumeration in insertion order, stable under growth.
-  size_t size() const override { return trie_.size(); }
-  void ReadAnswer(size_t i, FlatTerm* out) const override;
+  // Enumeration in insertion order, stable under growth.
+  size_t size() const { return trie_.size(); }
 
-  // AnswerSource: false for answers retired by a subsuming replacement.
-  // Indices stay readable either way; enumerators skip dead ones.
-  bool live(size_t i) const override {
+  // False for answers retired by a subsuming replacement. Indices stay
+  // readable either way; enumerators skip dead ones.
+  bool live(size_t i) const {
     return !spec_.subsumptive() || trie_.leaf_live(i);
   }
   // Answers not beaten by a replacement. Relaxed: the count is a statistic
@@ -198,12 +194,12 @@ class AnswerTable : public AnswerSource {
     return size() - num_retired_.load(std::memory_order_relaxed);
   }
 
-  // AnswerSource: factored enumeration.
-  const FlatTerm* answer_template() const override {
-    return &trie_.call_template();
-  }
+  // Factored enumeration: a reader unifies the call template with its goal
+  // once, keeping the heap term each template variable met in consecutive
+  // heap cells, and then per answer calls UnifyBindings (see AnswerTrie).
+  const FlatTerm& call_template() const { return trie_.call_template(); }
   bool UnifyBindings(size_t i, TermStore* store,
-                     uint64_t template_vars) const override {
+                     uint64_t template_vars) const {
     return trie_.UnifyBindings(i, store, template_vars);
   }
 

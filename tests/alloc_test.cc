@@ -1,9 +1,10 @@
 // Steady-state operations of the query path that must not touch the global
-// allocator: a duplicate answer insert, a factored answer return, and a
-// first-argument-indexed fact call; the call template of a new subgoal,
-// which must cost exactly one allocation; and, through the public API, a
-// cold query and a query on a completed table, neither of which may
-// allocate per answer. This binary replaces the global operator new to count
+// allocator: a duplicate answer insert, a factored answer return, a
+// first-argument-indexed fact call and a clause/2 enumeration; the call
+// template of a new subgoal, which must cost exactly one allocation; and,
+// through the public API, a cold query and a query on a completed table,
+// neither of which may allocate per answer. This binary replaces the global
+// operator new to count
 // calls, so it is kept apart from the other suites. Sanitizer runtimes own
 // the allocator, so there the tests skip.
 
@@ -170,6 +171,45 @@ TEST_F(ZeroAllocation, FirstArgumentIndexedFactCall) {
   }
   EXPECT_EQ(solutions, 2);
   EXPECT_EQ(machine.stats().head_unifications, 2u);
+}
+
+// clause/2 walks the stored clauses in place: warm enumeration of 1000
+// matching clauses allocates no more than that of 10.
+TEST_F(ZeroAllocation, ClauseEnumerationAllocatesNothingPerClause) {
+  for (int i = 0; i < 1010; ++i) {
+    std::string key = i < 10 ? "a" : "b";
+    std::string fact = "d(" + key + ", f(" + std::to_string(i) + ", x))";
+    ASSERT_TRUE(program_.AddClauseTerm(store_, Parse(fact)).ok());
+  }
+  Machine machine(&store_, &program_);
+  size_t solutions = 0;
+  SolutionFn count = [&solutions]() {
+    ++solutions;
+    return SolveAction::kContinue;
+  };
+  auto run = [&](Word goal) {
+    size_t trail = store_.TrailMark();
+    size_t heap = store_.HeapMark();
+    machine.ResetArena();
+    solutions = 0;
+    uint64_t before = Allocations();
+    EXPECT_TRUE(machine.Solve(goal, count).ok());
+    uint64_t allocated = Allocations() - before;
+    store_.UndoTrail(trail);
+    store_.TruncateHeap(heap);
+    return allocated;
+  };
+  Word few = Parse("clause(d(a, X), true)");
+  Word many = Parse("clause(d(b, X), true)");
+  for (int warm = 0; warm < 2; ++warm) {
+    run(few);
+    run(many);
+  }
+  uint64_t small = run(few);
+  EXPECT_EQ(solutions, 10u);
+  uint64_t large = run(many);
+  EXPECT_EQ(solutions, 1000u);
+  EXPECT_EQ(large, small);
 }
 
 // A new subgoal's call template is decoded from its call-trie tokens into a

@@ -2,6 +2,7 @@
 // resolves against the clauses that existed when it was made. Clauses that
 // asserta/assertz add while its alternatives are being tried stay invisible
 // to it; a retracted clause that has not been reached yet is skipped.
+// clause/2 walks the clauses the way a call does, so it has the same view.
 
 #include <gtest/gtest.h>
 
@@ -39,6 +40,29 @@ TEST(LogicalUpdateView, RetractDuringIterationSkipsTheClause) {
   // Pinned: an erased clause is skipped even by a call that started before
   // the retract.
   EXPECT_EQ(Collect("q(X) :- p(X), retract(p(2)).\n"), "[1]");
+}
+
+TEST(LogicalUpdateView, ClauseAssertaDuringIterationIsNotSeen) {
+  EXPECT_EQ(Collect("q(X) :- clause(p(X), true), asserta(p(0)).\n"),
+            Collect("q(X) :- p(X), asserta(p(0)).\n"));
+}
+
+TEST(LogicalUpdateView, ClauseAssertzDuringIterationIsNotSeen) {
+  EXPECT_EQ(Collect("q(X) :- clause(p(X), true), assertz(p(3)).\n"),
+            Collect("q(X) :- p(X), assertz(p(3)).\n"));
+}
+
+TEST(LogicalUpdateView, ClauseRetractDuringIterationSkipsTheClause) {
+  // Only the first solution retracts, so p(2) is gone before it is reached
+  // and nothing else fails it.
+  const char* retract_once = "(X == 1 -> retract(p(2)) ; true).\n";
+  EXPECT_EQ(Collect(std::string("q(X) :- p(X), ") + retract_once), "[1]");
+  EXPECT_EQ(Collect(std::string("q(X) :- clause(p(X), true), ") + retract_once),
+            "[1]");
+}
+
+TEST(LogicalUpdateView, CutAfterClausePrunesItsClauses) {
+  EXPECT_EQ(Collect("q(X) :- clause(p(X), true), !.\n"), "[1]");
 }
 
 TEST(LogicalUpdateView, LaterCallsSeeTheUpdates) {

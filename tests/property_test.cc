@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <random>
 #include <set>
 #include <string>
@@ -34,6 +35,13 @@ struct GraphCase {
   const char* shape;
   int size;
 };
+
+// How gtest prints a case, e.g. in the listing that ctest discovers test
+// names from. Without it the listing shows the struct's raw bytes, pointer
+// included, and the discovered names differ from build to build.
+void PrintTo(const GraphCase& g, std::ostream* os) {
+  *os << g.shape << "_" << g.size;
+}
 
 std::string GraphEdges(const GraphCase& g) {
   std::string text;
@@ -451,15 +459,10 @@ TEST_P(AnswerTrieProperty, InsertMatchesHashSetOracleAndEnumeratesAll) {
   }
 
   // Enumeration: same count, same order as first insertion, and every
-  // answer, spliced (ReadAnswer) or unified back onto the heap through the
-  // factored return (UnifyBindings), equal to the canonical full instance.
+  // answer, unified back onto the heap through the factored return
+  // (UnifyBindings), equal to the canonical full instance.
   ASSERT_EQ(trie.size(), inserted.size());
-  FlatTerm out;
   for (size_t i = 0; i < trie.size(); ++i) {
-    trie.ReadAnswer(i, &out);
-    EXPECT_EQ(out.cells, inserted[i].cells) << "index " << i;
-    EXPECT_EQ(out.num_vars, inserted[i].num_vars) << "index " << i;
-
     Word a = store.MakeVar();
     Word b = store.MakeVar();
     uint64_t template_vars = store.HeapMark();

@@ -1,5 +1,5 @@
 // Per-query memory stays flat: every query a Session runs gives back its
-// heap, its goal arena and its clause/2 answer sources when it ends.
+// heap and its goal arena when it ends.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +22,6 @@ TEST(SessionSoak, EngineHeapArenaAndSourcesStayFlat) {
     ASSERT_NO_FATAL_FAILURE(soak::RunCold(&engine, i));
     ASSERT_EQ(engine.store().HeapMark(), heap) << "after query " << i;
     ASSERT_EQ(engine.machine().arena_size(), 0u) << "after query " << i;
-    ASSERT_EQ(engine.machine().adopted_source_count(), 0u) << "after " << i;
     ASSERT_EQ(engine.evaluator().tables().num_retired_answers(), 0u);
   }
 }
@@ -31,7 +30,7 @@ TEST(SessionSoak, NestedForEachInsideAnswerCallback) {
   Engine engine;
   ASSERT_TRUE(engine.ConsultString(soak::ProgramText()).ok());
   const size_t heap = engine.store().HeapMark();
-  // The outer query enumerates through a clause/2 answer source and goal
+  // The outer query enumerates through a clause/2 choice point and goal
   // nodes that the inner queries must leave alone.
   std::vector<std::string> outer;
   Status status = engine.ForEach(
@@ -42,14 +41,12 @@ TEST(SessionSoak, NestedForEachInsideAnswerCallback) {
         EXPECT_EQ(inner.value(),
                   static_cast<size_t>(soak::kChain - std::stoi(answer["X"])));
         EXPECT_GT(engine.machine().arena_size(), 0u);
-        EXPECT_GT(engine.machine().adopted_source_count(), 0u);
         return true;
       });
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(outer, (std::vector<std::string>{"0", "1", "2", "3", "4"}));
   EXPECT_EQ(engine.store().HeapMark(), heap);
   EXPECT_EQ(engine.machine().arena_size(), 0u);
-  EXPECT_EQ(engine.machine().adopted_source_count(), 0u);
 }
 
 TEST(SessionSoak, ServiceSessionsStayFlatAcrossUpdates) {
@@ -91,8 +88,6 @@ TEST(SessionSoak, ServiceSessionsStayFlatAcrossUpdates) {
       ASSERT_EQ(sessions[s]->store().HeapMark(), heaps[s])
           << "session " << s << ", round " << round;
       ASSERT_EQ(sessions[s]->machine().arena_size(), 0u) << "session " << s;
-      ASSERT_EQ(sessions[s]->machine().adopted_source_count(), 0u)
-          << "session " << s;
     }
   }
   EXPECT_EQ(service.tables().num_retired_answers(), 0u);

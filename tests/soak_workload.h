@@ -1,7 +1,7 @@
 // The query mix of the session soak tests. It touches every kind of memory
 // a query allocates: tabled left recursion (goal arena, consumer
-// resumption), tabled negation (nested batches), clause/2 (adopted answer
-// sources) and malformed goals (parse errors after a partial read).
+// resumption), tabled negation (nested batches), clause/2 (a clause choice
+// point) and malformed goals (parse errors after a partial read).
 #ifndef XSB_TESTS_SOAK_WORKLOAD_H_
 #define XSB_TESTS_SOAK_WORKLOAD_H_
 

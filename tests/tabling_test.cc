@@ -677,6 +677,20 @@ TEST(IncrementalMaintenance, TfindallInsideATabledRuleIsADependency) {
   EXPECT_EQ(StateOf(engine, "outer(N)"), "complete");
 }
 
+TEST(IncrementalMaintenance, ClauseInsideATabledRuleIsADependency) {
+  Engine engine;
+  ASSERT_TRUE(engine
+                  .ConsultString(":- table p/1.\n"
+                                 ":- incremental(e/1).\n"
+                                 "e(1).\n"
+                                 "p(X) :- clause(e(X), true).\n")
+                  .ok());
+  EXPECT_EQ(FirstBinding(engine, "findall(X, p(X), L)", "L"), "[1]");
+  ASSERT_TRUE(engine.Holds("assertz(e(2))").value());
+  EXPECT_EQ(StateOf(engine, "p(X)"), "invalid");
+  EXPECT_EQ(FirstBinding(engine, "findall(X, p(X), L)", "L"), "[1,2]");
+}
+
 // --- Open-cursor freeze semantics --------------------------------------------
 
 TEST(IncrementalCursor, RetractAndReevalDuringOpenEnumerationKeepsSnapshot) {
