@@ -544,13 +544,12 @@ BuiltinResult BuiltinAsserta(Machine& m, Word goal, const GoalNode*) {
   return AssertImpl(m, goal, true);
 }
 
-// Splits a retract pattern into (head, body, body_given).
-void SplitClausePattern(Machine& m, Word pattern, Word* head, Word* body,
-                        bool* body_given) {
+// Splits a retract pattern into its head and body (`true` for a bare
+// head).
+void SplitClausePattern(Machine& m, Word pattern, Word* head, Word* body) {
   TermStore* store = m.store();
   SymbolTable* symbols = store->symbols();
   pattern = store->Deref(pattern);
-  *body_given = false;
   *head = pattern;
   *body = AtomCell(symbols->truth());
   if (IsStruct(pattern)) {
@@ -559,7 +558,6 @@ void SplitClausePattern(Machine& m, Word pattern, Word* head, Word* body,
         symbols->FunctorArity(f) == 2) {
       *head = store->Deref(store->Arg(pattern, 0));
       *body = store->Arg(pattern, 1);
-      *body_given = true;
     }
   }
 }
@@ -583,8 +581,7 @@ void RepublishAfterErasure(Machine& m) {
 BuiltinResult BuiltinRetract(Machine& m, Word goal, const GoalNode*) {
   TermStore* store = m.store();
   Word head, body;
-  bool body_given;
-  SplitClausePattern(m, Arg(m, goal, 0), &head, &body, &body_given);
+  SplitClausePattern(m, Arg(m, goal, 0), &head, &body);
   std::optional<FunctorId> functor = Program::CallableFunctor(*store, head);
   if (!functor.has_value()) {
     m.SetError(TypeError("retract/1: head not callable"));

@@ -4,9 +4,8 @@
 // template of a new subgoal, which must cost exactly one allocation; and,
 // through the public API, a cold query and a query on a completed table,
 // neither of which may allocate per answer. This binary replaces the global
-// operator new to count
-// calls, so it is kept apart from the other suites. Sanitizer runtimes own
-// the allocator, so there the tests skip.
+// operator new to count calls, so it is kept apart from the other suites.
+// Sanitizer runtimes own the allocator, so there the tests skip.
 
 #include <gtest/gtest.h>
 
