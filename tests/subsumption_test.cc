@@ -264,7 +264,7 @@ const char kIncrementalShortestPath[] =
     "edge(a, b, 5). edge(b, c, 5).\n";
 
 TEST(SubsumptionCursors, OpenCursorSurvivesMidEnumerationImprovement) {
-  // An open AnswerSource on a completed min table keeps enumerating its
+  // An open answer cursor on a completed min table keeps enumerating its
   // frozen snapshot while an assert invalidates the table and a nested
   // query recomputes it with a better answer (PR 3's retired-answer
   // freeze); the follow-up query then sees the improved minimum.
