@@ -14,10 +14,10 @@
 namespace {
 
 double TimeEngine(const std::string& program, const std::string& goal,
-                  bool specialize) {
+                  bool specialize_hilog) {
   xsb::Engine engine;
   if (!engine.ConsultString(program).ok()) std::abort();
-  if (specialize) {
+  if (specialize_hilog) {
     if (!engine.SpecializeHiLog().ok()) std::abort();
   }
   return xsb::bench::TimeBest([&]() {

@@ -642,7 +642,7 @@ void Analyzer::SubsumptionPass() {
 }
 
 void Analyzer::ModePass() {
-  result_.modes = AnalyzeModes(program_, result_, options_.mode_entries);
+  result_.modes = AnalyzeModes(program_, result_);
 
   std::vector<FunctorId> preds;
   preds.reserve(result_.modes.preds.size());

@@ -78,9 +78,6 @@ struct AnalyzeOptions {
   // findings. What applying :- auto_table. and republishing after a runtime
   // change need, without the mode fixpoint's cost.
   bool structure_only = false;
-  // Known entry-point call shapes to seed the mode fixpoint with, beyond
-  // what in-program call sites reveal.
-  std::vector<ModeEntry> mode_entries;
 };
 
 // Runs the pass pipeline over every predicate of `program`: call-graph

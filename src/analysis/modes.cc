@@ -32,17 +32,6 @@ Inst AbsUnifyInst(Inst a, Inst b) {
   return Inst::kAny;
 }
 
-Inst SpecMeetInst(Inst a, Inst b) {
-  if (a == b) return a;
-  if (a == Inst::kAny) return b;
-  if (b == Inst::kAny) return a;
-  if ((a == Inst::kGround && b == Inst::kNonvar) ||
-      (a == Inst::kNonvar && b == Inst::kGround)) {
-    return Inst::kGround;
-  }
-  return Inst::kAny;  // free vs bound: no single target fits both
-}
-
 const char* InstName(Inst inst) {
   switch (inst) {
     case Inst::kGround:
@@ -80,12 +69,10 @@ uint64_t PatternKey(FunctorId f, size_t pix) {
 
 class ModeAnalyzer {
  public:
-  ModeAnalyzer(const Program& program, const AnalysisResult& analysis,
-               const std::vector<ModeEntry>& entries)
+  ModeAnalyzer(const Program& program, const AnalysisResult& analysis)
       : program_(program),
         symbols_(*program.symbols()),
         analysis_(analysis),
-        entries_(entries),
         builtins_(program.symbols()) {}
 
   ModeResult Run();
@@ -136,7 +123,6 @@ class ModeAnalyzer {
   const Program& program_;
   SymbolTable& symbols_;  // non-const: atom goals intern arity-0 functors
   const AnalysisResult& analysis_;
-  const std::vector<ModeEntry>& entries_;
   BuiltinRegistry builtins_;
   ModeResult result_;
 
@@ -664,18 +650,16 @@ void ModeAnalyzer::ComputeDemands(FunctorId f, const Predicate& pred) {
 void ModeAnalyzer::Finalize() {
   for (auto& [f, pm] : result_.preds) {
     (void)f;
-    InstVec site_join, spec_meet, success_join;
+    InstVec site_join, success_join;
     bool have_site = false, have_success = false;
     for (const ModePattern& pat : pm.patterns) {
       if (pat.from_site) {
         if (!have_site) {
           site_join = pat.call;
-          spec_meet = pat.call;
           have_site = true;
         } else {
           for (size_t i = 0; i < site_join.size(); ++i) {
             site_join[i] = JoinInst(site_join[i], pat.call[i]);
-            spec_meet[i] = SpecMeetInst(spec_meet[i], pat.call[i]);
           }
         }
       }
@@ -691,7 +675,6 @@ void ModeAnalyzer::Finalize() {
       }
     }
     pm.site_join = std::move(site_join);
-    pm.spec_meet = std::move(spec_meet);
     pm.success_join = std::move(success_join);
   }
 }
@@ -715,15 +698,6 @@ ModeResult ModeAnalyzer::Run() {
     ComputeDemands(f, *pred);
     Enqueue(f, 0);
   }
-  for (const ModeEntry& entry : entries_) {
-    const Predicate* pred = program_.Lookup(entry.functor);
-    if (pred == nullptr || pred->num_live_clauses() == 0) continue;
-    if (entry.call.size() !=
-        static_cast<size_t>(symbols_.FunctorArity(entry.functor))) {
-      continue;
-    }
-    GetPattern(entry.functor, entry.call, SourceSpan{});
-  }
 
   while (!worklist_.empty()) {
     WorkItem item = *worklist_.begin();
@@ -738,9 +712,9 @@ ModeResult ModeAnalyzer::Run() {
 
 }  // namespace
 
-ModeResult AnalyzeModes(const Program& program, const AnalysisResult& analysis,
-                        const std::vector<ModeEntry>& entries) {
-  ModeAnalyzer analyzer(program, analysis, entries);
+ModeResult AnalyzeModes(const Program& program,
+                        const AnalysisResult& analysis) {
+  ModeAnalyzer analyzer(program, analysis);
   return analyzer.Run();
 }
 
@@ -858,7 +832,6 @@ void PublishModes(Program* program, const AnalysisResult& analysis,
       pub->patterns.push_back(std::move(p));
     }
     pub->site_join = InstBytes(pm.site_join);
-    pub->spec_meet = InstBytes(pm.spec_meet);
     pub->success_join = InstBytes(pm.success_join);
     pub->epoch = epoch;
     pred->set_modes(

@@ -44,11 +44,6 @@ bool InstLeq(Inst a, Inst b);
 // the two sides (ground wins; nonvar next; free∪free stays free; free
 // against any may come out anything).
 Inst AbsUnifyInst(Inst a, Inst b);
-// Meet used for picking a specialization target from several observed call
-// patterns: the most precise compatible state, or kAny when the patterns
-// genuinely conflict (free vs bound — specializing either way would make
-// half the calls take the fallback).
-Inst SpecMeetInst(Inst a, Inst b);
 // "ground" / "nonvar" / "free" / "any".
 const char* InstName(Inst inst);
 
@@ -62,8 +57,8 @@ struct ModePattern {
   // by a definitely-failing goal never succeeds (bottom).
   InstVec success;
   bool success_known = false;
-  // Created from an in-program call site (or an explicit entry seed), as
-  // opposed to the implicit all-`any` top pattern every predicate gets.
+  // Created from an in-program call site, as opposed to the implicit
+  // all-`any` top pattern every predicate gets.
   bool from_site = false;
   // Where the pattern was first demanded (a call site span), for M003.
   SourceSpan origin;
@@ -81,10 +76,6 @@ struct PredModes {
   // Join over the site-derived patterns' call vectors; empty when the
   // predicate has no analyzed call site.
   InstVec site_join;
-  // SpecMeet over the site-derived patterns' call vectors: the most precise
-  // pattern worth specializing code for (runtime-guarded, so precision here
-  // costs only fallbacks, never soundness). Empty when no site exists.
-  InstVec spec_meet;
   // Join over every pattern's known success vector; empty when no pattern
   // ever succeeds.
   InstVec success_join;
@@ -120,21 +111,12 @@ struct ModeResult {
   uint64_t iterations = 0;
 };
 
-// Optional entry seeds: known query shapes (e.g. "nrev is always called
-// with its first argument ground") that the in-program call sites cannot
-// reveal. Seeded patterns count as site-derived.
-struct ModeEntry {
-  FunctorId functor = kNoFunctor;
-  InstVec call;
-};
-
 // Runs the per-predicate, per-call-pattern fixpoint over `program`'s
 // clauses. `analysis` supplies the Tarjan SCC numbering: the worklist is
 // prioritized in reverse-topological order (callees before callers), so
 // each component converges before the components calling into it are
 // (re-)visited. Read-only over the program.
-ModeResult AnalyzeModes(const Program& program, const AnalysisResult& analysis,
-                        const std::vector<ModeEntry>& entries = {});
+ModeResult AnalyzeModes(const Program& program, const AnalysisResult& analysis);
 
 // Per call-graph SCC of `analysis`: its evaluation shard bit (set only when
 // the component holds a tabled predicate: untabled SCCs never materialize
@@ -151,8 +133,7 @@ SccShards ComputeSccShards(const Program& program,
                            const AnalysisResult& analysis);
 
 // Stores the inferred modes on the program's predicates (Predicate::modes(),
-// consumed by the WAM specializer, predicate_mode/2 and the runtime
-// soundness oracle), stamped with the program's current clause epoch so
+// consumed by predicate_mode/2 and the runtime soundness oracle), stamped with the program's current clause epoch so
 // consumers can detect staleness after runtime asserts. Also derives the
 // per-call-pattern shard reach masks and the first-argument key masks from
 // `analysis`'s SCC numbering and `shards` (ComputeSccShards of the same

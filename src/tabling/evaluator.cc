@@ -193,7 +193,7 @@ ShardMask Evaluator::ReachMask(FunctorId functor, Word goal) const {
   return pred->eval_reach_mask() | self;
 }
 
-const TableSpec* Evaluator::SpecFor(FunctorId functor) const {
+const TableSpec* Evaluator::TableSpecOf(FunctorId functor) const {
   const Predicate* pred = machine_->program()->Lookup(functor);
   return pred == nullptr ? nullptr : pred->table_spec();
 }
@@ -391,7 +391,7 @@ TabledCallHandler::CallOutcome Evaluator::OnTabledCall(
   }
   auto [id, created] =
       tables_->LookupOrCreate(*store, goal, functor, batch.id,
-                              SpecFor(functor));
+                              TableSpecOf(functor));
   // The consuming table depends on the consumed one: an update invalidating
   // `id` must also invalidate whoever built answers from it.
   SubgoalId caller = CurrentSubgoal();
@@ -617,7 +617,7 @@ Status Evaluator::EvaluateToCompletion(Word goal, FunctorId functor,
 
   auto [root, created] =
       tables_->LookupOrCreate(*store, goal, functor, batches_[batch_index].id,
-                              SpecFor(functor));
+                              TableSpecOf(functor));
   if (created) {
     SeedSubgoalDeps(root, functor);
   } else if (tables_->NeedsReevaluation(root)) {

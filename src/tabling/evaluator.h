@@ -249,7 +249,7 @@ class Evaluator : public TabledCallHandler, public TableUpdateListener {
 
   // The predicate's answer-subsumption declaration, or nullptr for plain
   // tabling; passed to TableSpace::LookupOrCreate at table creation.
-  const TableSpec* SpecFor(FunctorId functor) const;
+  const TableSpec* TableSpecOf(FunctorId functor) const;
 
   // True when deferral is allowed and the running goal is the first one
   // dispatched since (see AllowDeferral), outside any batch.

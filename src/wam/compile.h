@@ -11,11 +11,6 @@
 namespace xsb::wam {
 
 struct CompileOptions {
-  // Emit mode-specialized entry code for predicates whose published modes
-  // (Predicate::modes()->spec_meet) prove arguments bound: the entry checks
-  // the actual arguments against the spec (kCheckMode) and falls back to a
-  // generic copy on mismatch, so the analysis is verified, never trusted.
-  bool specialize = true;
   // Build first-argument dispatch (switch_on_term / switch_on_constant /
   // switch_on_structure). Off forces every multi-clause predicate onto a
   // try_me_else chain — the ablation baseline the property sweeps and the

@@ -8,22 +8,6 @@ namespace {
 constexpr uint32_t kFailTarget = 0xffffffffu;
 }  // namespace
 
-bool Emulator::GroundForMode(Word w) {
-  std::vector<Word>& work = ground_work_;  // reused scratch space
-  work.clear();
-  work.push_back(w);
-  while (!work.empty()) {
-    Word v = store_->Deref(work.back());
-    work.pop_back();
-    if (IsRef(v)) return false;
-    if (IsStruct(v)) {
-      int n = store_->StructArity(v);
-      for (int k = 0; k < n; ++k) work.push_back(store_->Arg(v, k));
-    }
-  }
-  return true;
-}
-
 bool Emulator::BuiltinWamStats() {
   SymbolTable* symbols = store_->symbols();
   WamStats snap = stats_;
@@ -35,8 +19,6 @@ bool Emulator::BuiltinWamStats() {
   std::vector<Word> items = {
       pair("instructions", snap.instructions),
       pair("choice_points", snap.choice_points),
-      pair("mode_checks", snap.mode_checks),
-      pair("mode_fallbacks", snap.mode_fallbacks),
       pair("switch_structure_hits", snap.switch_structure_hits),
       pair("switch_miss_linear", snap.switch_miss_linear),
   };
@@ -419,62 +401,6 @@ Status Emulator::Solve(Word goal, const WamSolutionFn& on_solution) {
       case Op::kHalt:
         running = false;
         break;
-      case Op::kCheckMode: {
-        // Verify the actual arguments against the inferred mode spec; on any
-        // mismatch fall back to the generic copy of the predicate (the
-        // analysis is a verified hint, never trusted).
-        ++stats_.mode_checks;
-        const std::vector<uint8_t>& spec = module_->mode_specs[instr.a];
-        bool ok = true;
-        for (uint32_t i = 0; i < instr.b && ok; ++i) {
-          uint8_t m = spec[i];
-          if (m == kModeNonvar) {
-            ok = !IsRef(store_->Deref(x_[i + 1]));
-          } else if (m == kModeGround) {
-            ok = GroundForMode(x_[i + 1]);
-          }
-        }
-        if (ok) {
-          ++pc;
-        } else {
-          ++stats_.mode_fallbacks;
-          pc = instr.c;
-        }
-        break;
-      }
-      case Op::kGetConstantNv: {
-        // Argument proven nonvar: compare only, no bind branch.
-        Word v = store_->Deref(x_[instr.b]);
-        if (v == module_->constants[instr.a]) {
-          ++pc;
-        } else {
-          fail();
-        }
-        break;
-      }
-      case Op::kGetStructureRd: {
-        // Argument proven nonvar: read mode only, no write-mode branch.
-        Word v = store_->Deref(x_[instr.b]);
-        if (IsStruct(v) && store_->StructFunctor(v) == instr.a) {
-          s = PayloadOf(v) + 1;
-          write_mode = false;
-          ++pc;
-        } else {
-          fail();
-        }
-        break;
-      }
-      case Op::kUnifyConstantRd: {
-        // Inside a ground structure: the argument cell cannot be unbound.
-        Word v = store_->Deref(store_->At(s));
-        if (v == module_->constants[instr.a]) {
-          ++s;
-          ++pc;
-        } else {
-          fail();
-        }
-        break;
-      }
     }
   }
 

@@ -18,10 +18,6 @@ using WamSolutionFn = std::function<WamAction()>;
 struct WamStats {
   uint64_t instructions = 0;
   uint64_t choice_points = 0;
-  // Mode-specialized entries taken / kCheckMode guards that failed and fell
-  // back to the generic copy (a call violating its inferred mode pattern).
-  uint64_t mode_checks = 0;
-  uint64_t mode_fallbacks = 0;
   // First-argument indexing: structure-key dispatches that hit (functor
   // table or './2' fast path), and calls that fell through to a linear
   // clause chain — a switch_on_term taking its var arm, or an unindexed
@@ -109,8 +105,6 @@ class Emulator {
   }
 
   bool Backtrack(size_t* pc);
-  // The kCheckMode groundness walk (iterative, reused scratch).
-  bool GroundForMode(Word w);
 
   Word& Reg(uint32_t reg) {
     if (IsYReg(reg)) return frames_[cur_frame_ - 1].y[RegIndex(reg)];
@@ -130,7 +124,6 @@ class Emulator {
   size_t cur_frame_ = 0;  // index+1; 0 = none
   std::vector<Choice> cps_;     // storage high-water mark; logical top below
   size_t cps_size_ = 0;
-  std::vector<Word> ground_work_;  // kCheckMode ground-walk scratch
   WamStats stats_;
 };
 

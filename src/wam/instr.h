@@ -57,17 +57,6 @@ enum class Op : uint8_t {
   kSolution,  // report a solution, then backtrack
   kHalt,
 
-  // Mode-specialized instructions (emitted only under a kCheckMode guard;
-  // the analysis that justifies them is runtime-verified, never trusted).
-  kCheckMode,       // a: mode-spec index, b: arity, c: generic entry pc —
-                    // verify A1..Ab against the spec; jump to c on mismatch
-  kGetConstantNv,   // a: const ix, b: Ai — Ai proven nonvar: compare only,
-                    // no unbound-var branch, no trailing
-  kGetStructureRd,  // a: functor, b: Ai — Ai proven nonvar: read mode only,
-                    // no write-mode branch
-  kUnifyConstantRd, // a: const ix — inside kGetStructureRd with a ground
-                    // root: argument cells cannot be unbound
-
   // Second level of first-argument indexing, structure side: dispatch on
   // the functor/arity key of A1 (which must deref to a structure; anything
   // else fails). a: table index (functor cell -> pc; miss = fail),
@@ -156,9 +145,6 @@ struct CompiledModule {
   std::vector<Word> constants;
   std::vector<SwitchTable> switch_tables;
   std::unordered_map<FunctorId, size_t> entries;  // functor -> entry pc
-  // kCheckMode argument-mode specs (kMode* bytes per argument position;
-  // kModeAny positions are not checked).
-  std::vector<std::vector<uint8_t>> mode_specs;
 
   size_t AddConstant(Word w) {
     for (size_t i = 0; i < constants.size(); ++i) {

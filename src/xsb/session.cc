@@ -36,8 +36,8 @@ Status Session::Run(std::string_view goal, const AnswerFn& on_answer) {
   --depth_;
   store_.UndoTrail(trail);
   store_.TruncateHeap(heap);
-  // Goal nodes and clause/2 sources may back choice points of an enclosing
-  // query, so only the outermost query frees them.
+  // Goal nodes may back choice points of an enclosing query, so only the
+  // outermost query rewinds the arena.
   if (depth_ == 0) machine_.ResetArena();
   return status;
 }

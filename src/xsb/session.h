@@ -42,11 +42,10 @@ struct Database {
 // One single-threaded evaluation context over a Database: a private term
 // heap, the SLD machine and the SLG evaluator. Run() is the only query path:
 // parse, solve, render. It reclaims everything a query allocates — the
-// parsed goal and its heap, the goal arena (rewound; its chunks are kept for
-// the next query) and clause/2 answer sources — when the outermost query on
-// the session ends. Retired answer tables are
-// the owner's to release (Engine after each outermost query, QueryService
-// workers outside their epoch guard).
+// parsed goal and its heap, and the goal arena (rewound; its chunks are
+// kept for the next query) — when the outermost query on the session ends.
+// Retired answer tables are the owner's to release (Engine after each
+// outermost query, QueryService workers outside their epoch guard).
 class Session {
  public:
   // Receives each answer; returns false to stop the enumeration.

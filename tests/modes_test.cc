@@ -2,7 +2,7 @@
 // lattice, the per-predicate per-call-pattern fixpoint, published modes
 // (Predicate::modes() and predicate_mode/2), the M-series diagnostics, the
 // retract republication of shard masks, and a seeded property sweep of the
-// mode-specialized engine against the bottom-up oracle.
+// mode-published engine against the bottom-up oracle.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +24,6 @@ using analysis::DiagCode;
 using analysis::Diagnostic;
 using analysis::Inst;
 using analysis::InstVec;
-using analysis::ModeEntry;
 using analysis::PredModes;
 
 const Diagnostic* FindCode(const AnalysisResult& result, DiagCode code) {
@@ -77,17 +76,6 @@ TEST(ModeLattice, AbsUnifyKeepsTheMostBoundSide) {
   EXPECT_EQ(AbsUnifyInst(Inst::kFree, Inst::kAny), Inst::kAny);
 }
 
-TEST(ModeLattice, SpecMeetConflictsFallToAny) {
-  // any is the identity (an uninformative site constrains nothing).
-  EXPECT_EQ(SpecMeetInst(Inst::kAny, Inst::kGround), Inst::kGround);
-  EXPECT_EQ(SpecMeetInst(Inst::kFree, Inst::kAny), Inst::kFree);
-  EXPECT_EQ(SpecMeetInst(Inst::kGround, Inst::kNonvar), Inst::kGround);
-  // free vs bound sites genuinely conflict: specializing either way would
-  // send half the calls through the fallback, so the target is any.
-  EXPECT_EQ(SpecMeetInst(Inst::kFree, Inst::kGround), Inst::kAny);
-  EXPECT_EQ(SpecMeetInst(Inst::kNonvar, Inst::kFree), Inst::kAny);
-}
-
 // --- The fixpoint ------------------------------------------------------------
 
 TEST(ModeFixpoint, TransitiveClosureInfersGroundSuccess) {
@@ -133,32 +121,27 @@ TEST(ModeFixpoint, EntrySeedsCreateSitePatterns) {
                                  "nrev([H|T], R) :- nrev(T, RT), "
                                  "app(RT, [H], R).\n"
                                  "app([], L, L).\n"
-                                 "app([H|T], L, [H|R]) :- app(T, L, R).\n")
+                                 "app([H|T], L, [H|R]) :- app(T, L, R).\n"
+                                 "drive(R) :- nrev([1,2,3], R).\n")
                   .ok());
-  analysis::AnalyzeOptions options;
-  ModeEntry entry;
-  entry.functor = Functor(engine, "nrev", 2);
-  entry.call = {Inst::kGround, Inst::kFree};
-  options.mode_entries.push_back(entry);
-  AnalysisResult result = engine.Analyze(options);
+  AnalysisResult result = engine.Analyze();
 
-  const PredModes& nrev = result.modes.preds.at(entry.functor);
-  const analysis::ModePattern* seeded = nullptr;
+  // drive/1 calls nrev with a ground list and a fresh variable: a
+  // (ground, free) site pattern.
+  const InstVec site = {Inst::kGround, Inst::kFree};
+  const PredModes& nrev = result.modes.preds.at(Functor(engine, "nrev", 2));
+  const analysis::ModePattern* from_drive = nullptr;
   for (const analysis::ModePattern& pat : nrev.patterns) {
-    if (pat.from_site && pat.call == entry.call) seeded = &pat;
+    if (pat.from_site && pat.call == site) from_drive = &pat;
   }
-  ASSERT_NE(seeded, nullptr);
-  // A ground list reversed is a ground list — under the seeded pattern.
+  ASSERT_NE(from_drive, nullptr);
+  // A ground list reversed is a ground list — under the site pattern.
   // (The all-any top pattern stays weaker, so the success *join* does not
   // reach ground; per-pattern precision is exactly the point.)
-  ASSERT_TRUE(seeded->success_known);
-  ASSERT_EQ(seeded->success.size(), 2u);
-  EXPECT_EQ(seeded->success[0], Inst::kGround);
-  EXPECT_EQ(seeded->success[1], Inst::kGround);
-  // The spec meet keeps the seeded precision (ground, free): the WAM
-  // specializer can drop nrev's write-mode handling for argument 1.
-  ASSERT_EQ(nrev.spec_meet.size(), 2u);
-  EXPECT_EQ(nrev.spec_meet[0], Inst::kGround);
+  ASSERT_TRUE(from_drive->success_known);
+  ASSERT_EQ(from_drive->success.size(), 2u);
+  EXPECT_EQ(from_drive->success[0], Inst::kGround);
+  EXPECT_EQ(from_drive->success[1], Inst::kGround);
 }
 
 TEST(ModeFixpoint, PatternsAreCappedNotUnbounded) {

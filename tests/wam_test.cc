@@ -66,6 +66,43 @@ class WamTest : public ::testing::Test {
     return out;
   }
 
+  // Every solution's instance of the goal, rendered, in derivation order:
+  // on this module's emulator, and on the interpreter over the same program.
+  std::vector<std::string> WamAnswers(const std::string& goal) {
+    Word g = Parse(goal);
+    size_t trail = store_.TrailMark();
+    std::vector<std::string> out;
+    Status s = emulator_->Solve(g, [&]() {
+      out.push_back(WriteTerm(store_, *program_.ops(), g));
+      return WamAction::kContinue;
+    });
+    store_.UndoTrail(trail);
+    EXPECT_TRUE(s.ok()) << goal << ": " << s.ToString();
+    return out;
+  }
+  std::vector<std::string> InterpretedAnswers(const std::string& goal) {
+    xsb::Machine machine(&store_, &program_);
+    Word g = Parse(goal);
+    size_t trail = store_.TrailMark();
+    std::vector<std::string> out;
+    Status s = machine.Solve(g, [&]() {
+      out.push_back(WriteTerm(store_, *program_.ops(), g));
+      return xsb::SolveAction::kContinue;
+    });
+    store_.UndoTrail(trail);
+    EXPECT_TRUE(s.ok()) << goal << ": " << s.ToString();
+    return out;
+  }
+
+  // The differential: both tiers resolve clauses in source order, so the
+  // same answers must come out in the same order. Answers are compared as
+  // text, so every query's solutions must be ground.
+  void ExpectAgreesWithInterpreter(const std::vector<std::string>& queries) {
+    for (const std::string& q : queries) {
+      EXPECT_EQ(WamAnswers(q), InterpretedAnswers(q)) << "query: " << q;
+    }
+  }
+
   SymbolTable symbols_;
   TermStore store_;
   Program program_;
@@ -143,6 +180,46 @@ TEST_F(WamTest, ListFastPathAndBucketChains) {
   EXPECT_EQ(First("m([], V)"), "m([],empty)");
   EXPECT_EQ(First("m(f(9), V)"), "m(f(9),fun)");
   EXPECT_EQ(Count("m(X, V)"), 4u);
+}
+
+TEST_F(WamTest, ListPredicatesDispatchOnStructureWithoutChains) {
+  // app and nrev key on []/'.'/2: each compiles to one two-level switch,
+  // with no try_me_else chain anywhere in the module.
+  Load("app([], L, L).\n"
+       "app([H|T], L, [H|R]) :- app(T, L, R).\n"
+       "nrev([], []).\n"
+       "nrev([H|T], R) :- nrev(T, RT), app(RT, [H], R).\n"
+       "drive(R) :- nrev([1,2,3,4,5,6], R).\n");
+  CompileAll();
+  auto count_in = [](const std::string& listing, const std::string& needle) {
+    size_t n = 0;
+    for (size_t at = listing.find(needle); at != std::string::npos;
+         at = listing.find(needle, at + needle.size())) {
+      ++n;
+    }
+    return n;
+  };
+  std::string listing = module_.Disassemble(symbols_);
+  EXPECT_EQ(count_in(listing, "switch_on_structure"), 2u);
+  EXPECT_EQ(count_in(listing, "try_me_else"), 0u);
+  EXPECT_EQ(First("drive(R)"), "drive([6,5,4,3,2,1])");
+  EXPECT_GT(emulator_->stats().switch_structure_hits, 0u);
+}
+
+TEST_F(WamTest, MixedKeyBoundCallsPushNoChoicePoint) {
+  // kind/2 mixes a constant key with structure keys, so its switch_on_term
+  // has both tables live. A bound first argument lands on one clause in
+  // either table: no choice point.
+  Load("kind(nil, empty).\n"
+       "kind(leaf(X), l(X)).\n"
+       "kind(node(L, R), n(L, R)).\n"
+       "probe(K) :- kind(leaf(7), K).\n"
+       "probe2(K) :- kind(nil, K).\n");
+  CompileAll();
+  uint64_t cps0 = emulator_->stats().choice_points;
+  EXPECT_EQ(First("probe(K)"), "probe(l(7))");
+  EXPECT_EQ(First("probe2(K)"), "probe2(empty)");
+  EXPECT_EQ(emulator_->stats().choice_points, cps0);
 }
 
 TEST_F(WamTest, StructureSwitchDeletesNrevChoicePoints) {
@@ -327,7 +404,6 @@ TEST_F(WamTest, DisassembleRoundTripsEveryOpcode) {
   FunctorId f2 = symbols_.InternFunctor(symbols_.InternAtom("f"), 2);
   uint32_t seven = static_cast<uint32_t>(m.AddConstant(IntCell(7)));
   m.switch_tables.emplace_back();
-  m.mode_specs.push_back({kModeGround, kModeNonvar});
   struct Case {
     Instr instr;
     const char* text;
@@ -360,10 +436,6 @@ TEST_F(WamTest, DisassembleRoundTripsEveryOpcode) {
       {{Op::kBuiltin, 0, 2, 0}, "builtin #0/2"},
       {{Op::kSolution, 0, 0, 0}, "solution"},
       {{Op::kHalt, 0, 0, 0}, "halt"},
-      {{Op::kCheckMode, 0, 2, 31}, "check_mode spec#0/2, generic=31"},
-      {{Op::kGetConstantNv, seven, 1, 0}, "get_constant_nv 7, A1"},
-      {{Op::kGetStructureRd, f2, 1, 0}, "get_structure_rd f/2, A1"},
-      {{Op::kUnifyConstantRd, seven, 0, 0}, "unify_constant_rd 7"},
       {{Op::kSwitchOnStructure, 0, 0, 17},
        "switch_on_structure table#0 list=17"},
   };
@@ -400,15 +472,15 @@ TEST_F(WamTest, WamStatsBuiltinReportsEmulatorCounters) {
   EXPECT_EQ(Count("report(S)"), 2u);
   std::string first = First("report(S)");
   EXPECT_EQ(std::regex_replace(first, std::regex("[0-9]+"), "N"),
-            "report([instructions - N,choice_points - N,mode_checks - N,"
-            "mode_fallbacks - N,switch_structure_hits - N,"
-            "switch_miss_linear - N])");
+            "report([instructions - N,choice_points - N,"
+            "switch_structure_hits - N,switch_miss_linear - N])");
   // The counters are live, not zero-filled.
   EXPECT_EQ(first.find("instructions - 0,"), std::string::npos) << first;
 }
 
 TEST_F(WamTest, AgreesWithInterpreterOnJoins) {
-  // Property: WAM and the interpreter produce the same solution count.
+  // Property: WAM and the interpreter produce the same answers in the same
+  // order.
   std::string facts;
   for (int i = 0; i < 60; ++i) {
     facts += "r(" + std::to_string(i % 10) + "," + std::to_string(i) + ").\n";
@@ -416,14 +488,85 @@ TEST_F(WamTest, AgreesWithInterpreterOnJoins) {
   }
   Load(facts + "j(X,Z) :- r(X,Y), s(Y,Z).\n");
   CompileAll();
-  xsb::Machine machine(&store_, &program_);
+  std::vector<std::string> queries;
   for (int k = 0; k < 10; k += 3) {
-    std::string goal = "j(" + std::to_string(k) + ", Z)";
-    Result<size_t> interpreted = machine.CountSolutions(Parse(goal));
-    ASSERT_TRUE(interpreted.ok());
-    EXPECT_EQ(Count(goal), interpreted.value()) << goal;
+    queries.push_back("j(" + std::to_string(k) + ", Z)");
   }
+  queries.push_back("j(X, 3)");
+  ExpectAgreesWithInterpreter(queries);
 }
+
+// More inputs to the same differential: head shapes (constant facts,
+// structures with interior constants, list recursion, mixed constant and
+// structure keys, arithmetic chains), each called bound, open, and with the
+// first argument unbound where the program's own call sites always bind it.
+struct CallShapeCase {
+  const char* name;
+  const char* program;
+  std::vector<std::string> queries;
+};
+
+// Names the ctest entries after the case, not its raw bytes.
+void PrintTo(const CallShapeCase& c, std::ostream* os) { *os << c.name; }
+
+class WamInterpreterDifferential
+    : public WamTest,
+      public ::testing::WithParamInterface<CallShapeCase> {};
+
+TEST_P(WamInterpreterDifferential, SameAnswersInOrder) {
+  Load(GetParam().program);
+  CompileAll();
+  ExpectAgreesWithInterpreter(GetParam().queries);
+}
+
+const CallShapeCase kCallShapeCases[] = {
+    {"constant_facts",
+     "lookup(a, 1). lookup(b, 2). lookup(c, 3).\n"
+     "use(V) :- lookup(a, V).\n",
+     {"lookup(a, X)", "lookup(b, 2)", "lookup(c, 9)", "lookup(Z, 2)",
+      "lookup(X, Y)", "use(V)"}},
+    {"structure_arguments",
+     "area(rect(W, H), A) :- A is W * H.\n"
+     "area(circle(R), A) :- A is 3 * R * R.\n"
+     "top(A) :- area(rect(3, 4), A).\n"
+     "top2(A) :- area(circle(5), A).\n",
+     {"area(rect(2, 5), A)", "area(circle(7), A)", "top(A)", "top2(A)"}},
+    {"list_recursion",
+     "app([], L, L).\n"
+     "app([H|T], L, [H|R]) :- app(T, L, R).\n"
+     "nrev([], []).\n"
+     "nrev([H|T], R) :- nrev(T, RT), app(RT, [H], R).\n"
+     "drive(R) :- nrev([1,2,3,4], R).\n",
+     {"app([1,2], [3], Z)", "app(X, Y, [1,2,3])", "nrev([1,2,3], R)",
+      "drive(R)"}},
+    {"interior_constants",
+     "tag(f(red, N), N).\n"
+     "tag(g(blue), 0).\n"
+     "drive(N) :- tag(f(red, 7), N).\n"
+     "drive2(N) :- tag(g(blue), N).\n",
+     {"tag(f(red, 3), X)", "tag(f(blue, 3), X)", "tag(g(blue), X)",
+      "tag(Z, 0)", "drive(N)", "drive2(N)"}},
+    {"mixed_keys",
+     "kind(nil, empty).\n"
+     "kind(leaf(X), l(X)).\n"
+     "kind(node(L, R), n(L, R)).\n"
+     "probe(K) :- kind(leaf(7), K).\n"
+     "probe2(K) :- kind(nil, K).\n",
+     {"kind(nil, K)", "kind(leaf(9), K)", "kind(node(a, b), K)",
+      "kind(V, l(2))", "probe(K)", "probe2(K)"}},
+    {"arithmetic_chains",
+     "step(X, Y) :- Y is X + 7.\n"
+     "twice(X, Z) :- step(X, Y), step(Y, Z).\n"
+     "from_const(Z) :- twice(10, Z).\n",
+     {"step(1, Y)", "twice(5, Z)", "from_const(Z)"}},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    CallShapes, WamInterpreterDifferential,
+    ::testing::ValuesIn(kCallShapeCases),
+    [](const ::testing::TestParamInfo<CallShapeCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace xsb::wam
