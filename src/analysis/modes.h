@@ -133,8 +133,9 @@ SccShards ComputeSccShards(const Program& program,
                            const AnalysisResult& analysis);
 
 // Stores the inferred modes on the program's predicates (Predicate::modes(),
-// consumed by predicate_mode/2 and the runtime soundness oracle), stamped with the program's current clause epoch so
-// consumers can detect staleness after runtime asserts. Also derives the
+// consumed by predicate_mode/2 and the runtime soundness oracle), stamped
+// with the program's current clause epoch so consumers can detect
+// staleness after runtime asserts. Also derives the
 // per-call-pattern shard reach masks and the first-argument key masks from
 // `analysis`'s SCC numbering and `shards` (ComputeSccShards of the same
 // analysis), so it wants the full AnalysisResult (with its `modes` member
