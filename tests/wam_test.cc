@@ -182,6 +182,30 @@ TEST_F(WamTest, ListFastPathAndBucketChains) {
   EXPECT_EQ(Count("m(X, V)"), 4u);
 }
 
+TEST_F(WamTest, ListPredicatesDispatchOnStructureWithoutChains) {
+  // app and nrev key on []/'.'/2: each compiles to one two-level switch,
+  // with no try_me_else chain anywhere in the module.
+  Load("app([], L, L).\n"
+       "app([H|T], L, [H|R]) :- app(T, L, R).\n"
+       "nrev([], []).\n"
+       "nrev([H|T], R) :- nrev(T, RT), app(RT, [H], R).\n"
+       "drive(R) :- nrev([1,2,3,4,5,6], R).\n");
+  CompileAll();
+  auto count_in = [](const std::string& listing, const std::string& needle) {
+    size_t n = 0;
+    for (size_t at = listing.find(needle); at != std::string::npos;
+         at = listing.find(needle, at + needle.size())) {
+      ++n;
+    }
+    return n;
+  };
+  std::string listing = module_.Disassemble(symbols_);
+  EXPECT_EQ(count_in(listing, "switch_on_structure"), 2u);
+  EXPECT_EQ(count_in(listing, "try_me_else"), 0u);
+  EXPECT_EQ(First("drive(R)"), "drive([6,5,4,3,2,1])");
+  EXPECT_GT(emulator_->stats().switch_structure_hits, 0u);
+}
+
 TEST_F(WamTest, MixedKeyBoundCallsPushNoChoicePoint) {
   // kind/2 mixes a constant key with structure keys, so its switch_on_term
   // has both tables live. A bound first argument lands on one clause in
@@ -202,22 +226,12 @@ TEST_F(WamTest, StructureSwitchDeletesNrevChoicePoints) {
   // EXPERIMENTS.md §3.2's headroom item: nrev30 used to push 496 choice
   // points through try_me_else chains because app/nrev key on []/'.'(H,T).
   // With the structure side of the switch, every bound call lands in a
-  // single-clause bucket: zero choice points. Each predicate compiles to
-  // one two-level switch, with no try_me_else chain anywhere in the module.
+  // single-clause bucket: zero choice points.
   Load("app([], L, L).\n"
        "app([H|T], L, [H|R]) :- app(T, L, R).\n"
        "nrev([], []).\n"
        "nrev([H|T], R) :- nrev(T, RT), app(RT, [H], R).\n");
   CompileAll();
-  std::string listing = module_.Disassemble(symbols_);
-  size_t switches = 0;
-  for (size_t at = listing.find("switch_on_structure");
-       at != std::string::npos;
-       at = listing.find("switch_on_structure", at + 1)) {
-    ++switches;
-  }
-  EXPECT_EQ(switches, 2u);
-  EXPECT_EQ(listing.find("try_me_else"), std::string::npos);
   std::string list = "[";
   for (int i = 1; i <= 30; ++i) {
     list += (i > 1 ? "," : "") + std::to_string(i);
